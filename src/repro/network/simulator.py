@@ -40,10 +40,19 @@ control value in transit) and the policy declares ``idle_skippable``, the
 run loop jumps directly to the next release time instead of stepping
 through the gap — sparse workloads with long quiet periods simulate in
 time proportional to the activity, not the horizon.
+
+The python loop is resumable: :meth:`LinearNetworkSimulator.start`
+builds the run state, :meth:`~LinearNetworkSimulator.add` reveals more
+messages to a started run, :meth:`~LinearNetworkSimulator.advance` steps
+it up to a given time and :meth:`~LinearNetworkSimulator.finish`
+assembles the result.  The online stream runners
+(:mod:`repro.online.simulated`) drive it one arrival batch at a time;
+:meth:`~LinearNetworkSimulator.run` is the one-shot form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Hashable
@@ -69,7 +78,9 @@ class SimulationResult:
     with reason ``"deadline"`` (hopeless / past the horizon),
     ``"buffer_full"`` (finite buffer full — rejected or evicted by the
     admission contest) or ``"fault"`` (lost to the fault plan), in drop
-    order.
+    order.  ``launch_events`` lists ``(message_id, time)`` of every
+    packet's first link crossing — delivered or later dropped — ordered
+    by ``(time, message_id)``.
     """
 
     schedule: Any
@@ -77,6 +88,7 @@ class SimulationResult:
     dropped_ids: frozenset[int]
     stats: SimulationStats
     drop_events: tuple[tuple[int, int, str], ...] = ()
+    launch_events: tuple[tuple[int, int], ...] = ()
 
     @property
     def throughput(self) -> int:
@@ -171,23 +183,30 @@ class LinearNetworkSimulator:
             result = simulator_vec.try_run_vec(self)
             if result is not None:
                 return result
-        return self._run_python()
+        self.start()
+        self.advance()
+        return self.finish()
 
-    def _run_python(self) -> SimulationResult:
+    # ------------------------------------------------------------------ #
+
+    def start(self) -> None:
+        """Build the run state for the instance's messages (time 0)."""
         tr = obs.tracer()
         t0 = time.perf_counter() if tr.enabled else 0.0
         inst = self.instance
         topo = self.topology
-        policy = self.policy
         nodes = list(topo.nodes(inst))
         num_nodes = len(nodes)
-        policy.reset(num_nodes)
-        stats = SimulationStats()
-
-        packets = [Packet(m) for m in inst]
-        releases: dict[int, list[Packet]] = {}
-        for p in packets:
-            releases.setdefault(p.message.release, []).append(p)
+        self.policy.reset(num_nodes)
+        self._nodes = nodes
+        self._stats = SimulationStats()
+        self._packets: list[Packet] = []
+        self._releases: dict[int, list[Packet]] = {}
+        self._added: list[Any] = []  # messages revealed after start
+        self._live = 0
+        self._horizon = 0
+        self._t = 0
+        self._add_packets(inst)
 
         # Buffers are indexed by node id: a plain list when node ids are
         # the contiguous ints ``0..n-1`` (line, ring — list indexing is the
@@ -195,54 +214,121 @@ class LinearNetworkSimulator:
         # ``buffers[v]``; ``buffer_values`` stays live across rebinds (it
         # is the list itself, or a dynamic dict view).
         int_nodes = nodes == list(range(num_nodes))
-        buffers: Any = (
+        self._buffers: Any = (
             [[] for _ in nodes] if int_nodes else {v: [] for v in nodes}
         )
-        buffer_values = buffers if int_nodes else buffers.values()
-
-        # Per-packet counters accumulate in locals (and, for contiguous
-        # int node ids, plain lists) and are flushed into ``stats`` once
-        # after the loop — the per-step dict lookups and attribute writes
-        # otherwise dominate the fault-free fast path.  The faulted and
-        # mesh branches still write ``stats`` directly via ``_forward`` /
-        # ``record_buffer``, so the flush merges rather than overwrites.
-        released_n = delivered_n = dropped_n = 0
-        total_latency = total_wait = 0
-        overflow_n = fault_n = 0
-        busy: list[int] | None = [0] * num_nodes if int_nodes else None
-        peaks: list[int] | None = [0] * num_nodes if int_nodes else None
-        in_flight: list[Packet] = []
-        control_in_flight: list[tuple[Any, Hashable]] = []  # (dest node, value)
-        delivered: list[Packet] = []
-        dropped: list[Packet] = []
-
+        self._buffer_values = self._buffers if int_nodes else self._buffers.values()
+        # Per-node hop and peak-occupancy counts for contiguous int node
+        # ids, flushed into ``stats`` by ``finish`` (the faulted and mesh
+        # branches write ``stats`` directly, so the flush merges).
+        self._busy: list[int] | None = [0] * num_nodes if int_nodes else None
+        self._peaks: list[int] | None = [0] * num_nodes if int_nodes else None
+        self._in_flight: list[Packet] = []
+        self._control: list[tuple[Any, Hashable]] = []  # (dest node, value)
+        self._delivered: list[Packet] = []
+        self._dropped: list[Packet] = []
+        self._launched: list[Packet] = []
         faults = self.faults
-        drop_rng = (
+        self._drop_rng = (
             faults.drop_rng() if faults is not None and faults.drop_rate > 0 else None
         )
 
         # Per-node selection plan.  Uniform-route topologies (line, ring)
         # forward every packet over one precomputed link; the mesh routes
         # per packet and selects once per outgoing link.
-        uniform = topo.uniform_route
-        if uniform:
-            sel_plan = [
+        if topo.uniform_route:
+            self._sel_plan = [
                 (v, link, nxt, topo.control_next(inst, v))
                 for v, (link, nxt) in topo.successors(inst).items()
             ]
         else:
-            sel_nodes = [
+            self._sel_nodes = [
                 (v, topo.control_next(inst, v)) for v in topo.out_nodes(inst)
             ]
+        self._busy_s = time.perf_counter() - t0 if tr.enabled else 0.0
+
+    @property
+    def time(self) -> int:
+        """The next step a started run will process (its ``stats.steps``)."""
+        return self._t
+
+    def add(self, batch: Any) -> None:
+        """Reveal ``batch`` (an instance of the same shape) to a started run.
+
+        Its messages join the release schedule and extend the horizon;
+        none may be released before the run's current time.
+        """
+        self.topology.validate_sim_instance(batch)
+        for m in batch:
+            if m.release < self._t:
+                raise ValueError(
+                    f"message {m.id} released at {m.release}, before the "
+                    f"simulation time {self._t}"
+                )
+        self._added.extend(batch)
+        self._add_packets(batch)
+
+    def _add_packets(self, messages: Any) -> None:
+        releases = self._releases
+        for m in messages:
+            p = Packet(m)
+            self._packets.append(p)
+            releases.setdefault(m.release, []).append(p)
+            self._live += 1
+        self._horizon = max(self._horizon, self.topology.sim_horizon(messages))
+
+    def advance(self, until: int | None = None) -> tuple[list[Packet], list[Packet]]:
+        """Step the network through every time ``t < until`` (to the end
+        when ``None``); returns the packets launched (first link crossing)
+        and dropped during the call, in event order.
+
+        An idle fast-forward whose target lies past ``until`` is deferred
+        to the next call — messages revealed by then may move the target.
+        """
+        tr = obs.tracer()
+        t0 = time.perf_counter() if tr.enabled else 0.0
+        # Hoist the run state into locals (written back on exit): the
+        # per-step attribute lookups otherwise dominate the hot loop.
+        inst = self.instance
+        topo = self.topology
+        policy = self.policy
+        nodes = self._nodes
+        stats = self._stats
+        steps0 = stats.steps
+        releases = self._releases
+        buffers = self._buffers
+        buffer_values = self._buffer_values
+        busy = self._busy
+        peaks = self._peaks
+        in_flight = self._in_flight
+        control_in_flight = self._control
+        delivered = self._delivered
+        dropped = self._dropped
+        launched = self._launched
+        launched0, dropped0 = len(launched), len(dropped)
+        released_n = stats.released
+        delivered_n = stats.delivered
+        dropped_n = stats.dropped
+        total_latency = stats.total_latency
+        overflow_n = stats.buffer_overflow_drops
+        fault_n = stats.fault_drops
+        total_wait = 0
+        live = self._live
+        t = self._t
+        faults = self.faults
+        drop_rng = self._drop_rng
+        uniform = self.topology.uniform_route
+        if uniform:
+            sel_plan = self._sel_plan
+        else:
+            sel_nodes = self._sel_nodes
         buffer_capacity = self.buffer_capacity
         admission = self.admission
         policy_select = policy.select
         policy_emit = policy.emit_control
 
-        horizon = topo.sim_horizon(inst)
-        t = 0
-        live = len(packets)
-        while t < horizon and (live > 0 or in_flight):
+        stop = self._horizon if until is None else min(self._horizon, until)
+        while t < stop and (live > 0 or in_flight):
             # Fast-forward: when the network is completely quiet (nothing in
             # flight, nothing buffered, no control traffic) every step until
             # the next release is a no-op, so jump straight there.  Gated on
@@ -257,7 +343,10 @@ class LinearNetworkSimulator:
                 and t not in releases
                 and all(not b for b in buffer_values)
             ):
-                t = min(releases)
+                nxt = min(releases)
+                if until is not None and nxt > until:
+                    break
+                t = nxt
                 stats.steps = t
                 stats.idle_fast_forwards += 1
                 continue
@@ -350,6 +439,8 @@ class LinearNetworkSimulator:
                             crossings = chosen.crossings
                             if crossings:
                                 total_wait += t - (crossings[-1] + 1)
+                            else:
+                                launched.append(chosen)
                             chosen.record_hop(t, nxt)
                             if busy is not None:
                                 busy[v] += 1
@@ -375,7 +466,7 @@ class LinearNetworkSimulator:
                             chosen = policy_select(view)
                         if chosen is not None:
                             self._forward(
-                                chosen, v, nxt, t, buffers, in_flight, stats
+                                chosen, v, nxt, t, buffers, in_flight, launched, stats
                             )
                         value = policy_emit(v, t)
                         if value is not None and ctrl_next is not None:
@@ -403,7 +494,14 @@ class LinearNetworkSimulator:
                                 chosen = policy.select(view)
                                 if chosen is not None:
                                     self._forward(
-                                        chosen, v, nxt, t, buffers, in_flight, stats
+                                        chosen,
+                                        v,
+                                        nxt,
+                                        t,
+                                        buffers,
+                                        in_flight,
+                                        launched,
+                                        stats,
                                     )
                     value = policy.emit_control(v, t)
                     if value is not None and ctrl_next is not None:
@@ -412,15 +510,10 @@ class LinearNetworkSimulator:
             t += 1
             stats.steps = t
 
-        # anything still pending/buffered after the horizon is undeliverable
-        for p in packets:
-            if p.status in (PacketStatus.PENDING, PacketStatus.IN_NETWORK):
-                p.mark_dropped(t)
-                dropped.append(p)
-                dropped_n += 1
-
-        # flush the hoisted accumulators (merging with whatever the
-        # faulted/mesh branches recorded directly)
+        self._t = t
+        self._live = live
+        self._in_flight = in_flight
+        self._control = control_in_flight
         stats.released = released_n
         stats.delivered = delivered_n
         stats.dropped = dropped_n
@@ -428,37 +521,68 @@ class LinearNetworkSimulator:
         stats.total_wait_steps += total_wait
         stats.buffer_overflow_drops = overflow_n
         stats.fault_drops = fault_n
-        if busy is not None:
+        if tr.enabled:
+            tr.count("sim.steps", stats.steps - steps0)
+            self._busy_s += time.perf_counter() - t0
+        return launched[launched0:], dropped[dropped0:]
+
+    def finish(self) -> SimulationResult:
+        """Close the run (call after a final ``advance()``): anything still
+        undelivered is dropped, and the result is assembled over every
+        message the run saw."""
+        tr = obs.tracer()
+        t0 = time.perf_counter() if tr.enabled else 0.0
+        topo = self.topology
+        stats = self._stats
+        inst = self.instance
+        if self._added:
+            inst = dataclasses.replace(
+                inst, messages=tuple(inst.messages) + tuple(self._added)
+            )
+        delivered = self._delivered
+        dropped = self._dropped
+        # anything still pending/buffered after the horizon is undeliverable
+        for p in self._packets:
+            if p.status in (PacketStatus.PENDING, PacketStatus.IN_NETWORK):
+                p.mark_dropped(self._t)
+                dropped.append(p)
+                stats.dropped += 1
+
+        if self._busy is not None:
             lbs = stats.link_busy_steps
-            for v, c in enumerate(busy):
+            for v, c in enumerate(self._busy):
                 if c:
                     lbs[v] = lbs.get(v, 0) + c
-        if peaks is not None:
+        if self._peaks is not None:
             pb = stats.peak_buffer
-            for v, occ in enumerate(peaks):
+            for v, occ in enumerate(self._peaks):
                 if occ > pb.get(v, 0):
                     pb[v] = occ
 
         schedule = topo.sim_schedule(
             inst, tuple(topo.sim_trajectory(inst, p) for p in delivered)
         )
+        launches = sorted(
+            (p.crossings[0], p.id) for p in self._launched
+        )
         if tr.enabled:
             tr.count("sim.runs")
-            tr.count("sim.steps", stats.steps)
             tr.count("sim.idle_fast_forwards", stats.idle_fast_forwards)
             tr.count("sim.delivered", stats.delivered)
             tr.count("sim.expired", stats.dropped)
-            if faults is not None:
+            if self.faults is not None:
                 tr.count("sim.faulted_runs")
                 tr.count("sim.fault_drops", stats.fault_drops)
                 tr.count("sim.link_down_blocks", stats.link_down_blocks)
                 tr.count("sim.stall_blocks", stats.stall_blocks)
+            # the span's length is the run's compute time across every
+            # start/advance/finish call, ending now
             tr.record_span(
                 "sim.run",
-                t0,
-                n=num_nodes,
-                packets=len(packets),
-                policy=type(policy).__name__,
+                t0 - self._busy_s,
+                n=len(self._nodes),
+                packets=len(self._packets),
+                policy=type(self.policy).__name__,
                 steps=stats.steps,
                 topology=topo.name,
             )
@@ -468,6 +592,7 @@ class LinearNetworkSimulator:
             dropped_ids=frozenset(p.id for p in dropped),
             stats=stats,
             drop_events=tuple((p.id, p.dropped_at, p.drop_reason) for p in dropped),
+            launch_events=tuple((mid, at) for at, mid in launches),
         )
 
     # ------------------------------------------------------------------ #
@@ -480,17 +605,17 @@ class LinearNetworkSimulator:
         t: int,
         buffers: Any,  # list (int nodes) or dict, indexed by node id
         in_flight: list[Packet],
+        launched: list[Packet],
         stats: SimulationStats,
     ) -> None:
         buf = buffers[node]
         if chosen not in buf:
             raise RuntimeError(f"policy returned a packet not buffered at node {node}")
         buf.remove(chosen)
-        wait = t - (
-            chosen.crossings[-1] + 1 if chosen.crossings else chosen.message.release
-        )
         if chosen.crossings:
-            stats.total_wait_steps += wait
+            stats.total_wait_steps += t - (chosen.crossings[-1] + 1)
+        else:
+            launched.append(chosen)
         chosen.record_hop(t, next_node)
         stats.record_hop(node)
         in_flight.append(chosen)

@@ -542,12 +542,21 @@ def _run_vec(sim: "LinearNetworkSimulator") -> "SimulationResult":
 
     # per-packet crossing times, grouped from the per-step hop logs
     trajectories: list[Any] = []
-    if delivered_idx.size:
+    launch_events: tuple[tuple[int, int], ...] = ()
+    if hop_sel:
         all_sel = np.concatenate(hop_sel)
         all_t = np.repeat(
             np.asarray(hop_ts, dtype=i64),
             np.fromiter((s.size for s in hop_sel), dtype=i64, count=len(hop_sel)),
         )
+        # the logs run in time order, so a packet's first entry is its launch
+        first_sel, first_at = np.unique(all_sel, return_index=True)
+        launch_mid, launch_t = mid[first_sel], all_t[first_at]
+        by_time = np.lexsort((launch_mid, launch_t))
+        launch_events = tuple(
+            zip(launch_mid[by_time].tolist(), launch_t[by_time].tolist())
+        )
+    if delivered_idx.size:
         order = np.lexsort((all_t, all_sel))
         sel_sorted = all_sel[order]
         t_list = all_t[order].tolist()
@@ -635,6 +644,7 @@ def _run_vec(sim: "LinearNetworkSimulator") -> "SimulationResult":
         dropped_ids=frozenset(e[0] for e in drop_events),
         stats=stats,
         drop_events=tuple(drop_events),
+        launch_events=launch_events,
     )
 
 

@@ -27,16 +27,25 @@ drops (:class:`StreamResult.fault_dropped_ids` vs
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any
 
 from ..core.instance import Instance
-from .bfl_online import online_bfl
-from .simulated import GREEDY_POLICIES, online_dbfl, online_greedy
+from .bfl_online import BflRunner, online_bfl
+from .runner import OnlineRunner
+from .simulated import (
+    GREEDY_POLICIES,
+    SimulatedRunner,
+    _greedy_policy,
+    online_dbfl,
+    online_greedy,
+)
 from .stream import Decision, StreamResult, arrival_stream
 
 __all__ = [
     "Decision",
     "StreamResult",
+    "OnlineRunner",
     "ONLINE_POLICIES",
     "GREEDY_POLICIES",
     "arrival_stream",
@@ -44,21 +53,42 @@ __all__ = [
     "online_dbfl",
     "online_greedy",
     "run_online",
+    "start_online",
 ]
 
 ONLINE_POLICIES = ("bfl", "dbfl", "greedy")
 
 
-def run_online(instance: Instance, policy: str = "bfl", **opts: Any) -> StreamResult:
-    """Run one online policy by name; the implementation-layer dispatcher.
+def start_online(instance: Any, policy: str = "bfl", /, **opts: Any) -> OnlineRunner:
+    """Start one online policy by name as a resumable run.
+
+    ``instance`` has no messages and fixes the network (``n``, topology,
+    buffer capacity); feed the arrivals with
+    :meth:`~repro.online.runner.OnlineRunner.feed`.  ``opts`` are the
+    policy's keyword options (``faults``, ``backend``, and for the
+    simulator policies ``buffer_capacity`` and ``admission``; for
+    ``"greedy"`` also its sub-policy ``policy``).  Unknown or invalid
+    options raise here, before anything is fed.
+    """
+    if policy == "bfl":
+        return BflRunner(instance, **opts)
+    if policy == "dbfl":
+        from ..core.dbfl import DBFLPolicy
+
+        return SimulatedRunner("dbfl", instance, DBFLPolicy(), **opts)
+    if policy == "greedy":
+        name, rule = _greedy_policy(opts.pop("policy", "edf"))
+        return SimulatedRunner(f"greedy:{name}", instance, rule, **opts)
+    raise ValueError(f"unknown online policy {policy!r}; choose one of {ONLINE_POLICIES}")
+
+
+def run_online(instance: Instance, policy: str = "bfl", /, **opts: Any) -> StreamResult:
+    """Run one online policy by name over a whole instance: the runner
+    fed every message as one batch, then closed.
 
     (The facade, ``repro.api.solve(instance, "online", method)``, wraps
     this and adds the competitive-ratio baseline.)
     """
-    if policy == "bfl":
-        return online_bfl(instance, **opts)
-    if policy == "dbfl":
-        return online_dbfl(instance, **opts)
-    if policy == "greedy":
-        return online_greedy(instance, **opts)
-    raise ValueError(f"unknown online policy {policy!r}; choose one of {ONLINE_POLICIES}")
+    runner = start_online(dataclasses.replace(instance, messages=()), policy, **opts)
+    runner.feed(instance.messages, 0)
+    return runner.close()

@@ -33,6 +33,11 @@ node, or the plan's drop coin is lost — a *fault* drop, reported
 separately from policy drops.  Reservations of fault-lost messages stay
 in place: the line capacity up to the loss point was genuinely spent.
 
+The loop lives in :class:`BflRunner`, a resumable
+:class:`~repro.online.runner.OnlineRunner`: a stream session feeds it
+batch by batch and it stops short of the frontier, while
+:func:`online_bfl` feeds the whole instance at once.
+
 On a **single-release stream** (all messages share one release time) the
 first replan sees the entire instance with no reservations, so the plan
 — and therefore the delivered set and every delivery line — coincides
@@ -44,7 +49,6 @@ assert both the coincidence and the ½·OPT_BL floor.
 from __future__ import annotations
 
 import heapq
-import time
 from bisect import bisect_right, insort
 
 from .. import obs
@@ -53,9 +57,10 @@ from ..core.message import Direction, Message
 from ..core.schedule import Schedule
 from ..core.trajectory import bufferless_trajectory
 from ..network.faults import FaultPlan
+from .runner import OnlineRunner
 from .stream import Decision, StreamResult
 
-__all__ = ["online_bfl"]
+__all__ = ["BflRunner", "online_bfl"]
 
 
 def _fits(occupied: list[tuple[int, int]], start: int, end: int) -> bool:
@@ -146,170 +151,219 @@ def _plan(
     return assignment
 
 
-def online_bfl(
-    instance: Instance,
-    *,
-    faults: FaultPlan | None = None,
-    backend: str | None = None,
-) -> StreamResult:
-    """Stream ``instance`` through the incremental scan-line admitter.
+class BflRunner(OnlineRunner):
+    """``online_bfl``'s event loop as a resumable step machine.
 
     ``backend`` is accepted for facade uniformity; the replan sweep is
     reservation-aware and has no vectorized twin yet, so a ``"numpy"``
     request falls back to this python implementation (counted under
     ``backend.fallbacks``).
     """
-    from ..backend import fall_back, resolve_backend
 
-    if resolve_backend(backend) == "numpy":
-        fall_back("online_bfl")
-    for m in instance:
-        if m.direction != Direction.LEFT_TO_RIGHT:
+    name = "bfl"
+
+    def __init__(
+        self,
+        instance: Instance,
+        *,
+        faults: FaultPlan | None = None,
+        backend: str | None = None,
+    ) -> None:
+        from ..backend import fall_back, resolve_backend
+
+        super().__init__(instance)
+        if getattr(instance, "topology", "line") != "line":
             raise ValueError(
-                f"message {m.id} travels right-to-left; split directions first"
+                "online bfl schedules line instances only, got topology "
+                f"{instance.topology!r}"
             )
-    tr = obs.tracer()
-    t0 = time.perf_counter() if tr.enabled else 0.0
+        if resolve_backend(backend) == "numpy":
+            fall_back("online_bfl")
+        if faults is not None and not isinstance(faults, FaultPlan):
+            raise TypeError(f"faults must be a FaultPlan or None, got {faults!r}")
+        if faults is not None and not faults.active:
+            faults = None
+        self._faults = faults
+        self._drop_rng = (
+            faults.drop_rng() if faults is not None and faults.drop_rate > 0 else None
+        )
+        self._arrivals: dict[int, list[Message]] = {}
+        self._pending: dict[int, Message] = {}
+        self._planned: dict[int, int] = {}
+        self._reserved: dict[int, list[tuple[int, int]]] = {}
+        # in-flight (fault runs only): [message, current node, alpha]
+        self._in_flight: list[list] = []
+        self._decisions: list[Decision] = []
+        self._trajectories: list = []
+        self._delivered: list[int] = []
+        self._dropped: dict[int, str] = {}
+        self._replans = self._blocked_launches = self._wait_steps = 0
+        self._steps = 0
+        self._need_replan = False
+        self._t = 0
 
-    arrivals: dict[int, list[Message]] = {}
-    for m in instance:
-        arrivals.setdefault(m.release, []).append(m)
-    for group in arrivals.values():
-        group.sort(key=lambda m: m.id)
+    @property
+    def steps(self) -> int:
+        return self._steps
 
-    if faults is not None and not isinstance(faults, FaultPlan):
-        raise TypeError(f"faults must be a FaultPlan or None, got {faults!r}")
-    if faults is not None and not faults.active:
-        faults = None
-    drop_rng = (
-        faults.drop_rng() if faults is not None and faults.drop_rate > 0 else None
-    )
+    def _check(self, batch: Instance) -> None:
+        for m in batch:
+            if m.direction != Direction.LEFT_TO_RIGHT:
+                raise ValueError(
+                    f"message {m.id} travels right-to-left; split directions first"
+                )
 
-    pending: dict[int, Message] = {}
-    planned: dict[int, int] = {}
-    reserved: dict[int, list[tuple[int, int]]] = {}
-    # in-flight (fault runs only): [message, current node, alpha]
-    in_flight: list[list] = []
+    def _add(self, batch: Instance) -> None:
+        arrivals = self._arrivals
+        touched = set()
+        for m in batch:
+            arrivals.setdefault(m.release, []).append(m)
+            touched.add(m.release)
+        for release in touched:
+            arrivals[release].sort(key=lambda m: m.id)
 
-    decisions: list[Decision] = []
-    trajectories = []
-    delivered: list[int] = []
-    dropped: dict[int, str] = {}
-    replans = blocked_launches = wait_steps = steps = 0
-    need_replan = False
+    def _advance(self, until: int | None) -> list[Decision]:
+        tr = obs.tracer()
+        faults = self._faults
+        drop_rng = self._drop_rng
+        arrivals = self._arrivals
+        pending = self._pending
+        planned = self._planned
+        reserved = self._reserved
+        in_flight = self._in_flight
+        decisions = self._decisions
+        trajectories = self._trajectories
+        delivered = self._delivered
+        dropped = self._dropped
+        first = len(decisions)
+        t = self._t
 
-    def drop(m: Message, at: int, reason: str) -> None:
-        dropped[m.id] = reason
-        decisions.append(Decision(m.id, "drop", at, reason=reason))
+        def drop(m: Message, at: int, reason: str) -> None:
+            dropped[m.id] = reason
+            decisions.append(Decision(m.id, "drop", at, reason=reason))
 
-    t = 0 if faults is not None else (min(arrivals) if arrivals else 0)
-    while arrivals or pending or in_flight:
-        if faults is None:
-            # Epoch batching: jump straight to the next event — a release,
-            # a planned departure, or a pending message expiring.
-            nxt = []
-            if arrivals:
-                nxt.append(min(arrivals))
-            for i, alpha in planned.items():
-                nxt.append(pending[i].source - alpha)
-            nxt.extend(
-                m.latest_departure + 1 for i, m in pending.items() if i not in planned
+        while arrivals or pending or in_flight:
+            step = t
+            if faults is None:
+                # Epoch batching: jump straight to the next event — a
+                # release, a planned departure, or a pending message
+                # expiring.
+                nxt = []
+                if arrivals:
+                    nxt.append(min(arrivals))
+                for i, alpha in planned.items():
+                    nxt.append(pending[i].source - alpha)
+                nxt.extend(
+                    m.latest_departure + 1
+                    for i, m in pending.items()
+                    if i not in planned
+                )
+                step = max(t, min(nxt))
+            if until is not None and step >= until:
+                # Arrivals not fed yet are released at or after ``until``
+                # and may move the next event; stop short of it.
+                break
+            t = step
+            self._steps += 1
+
+            # In-flight traversal (fault runs): each live packet crosses
+            # the link at its current node during [t, t+1] — unless the
+            # plan took the link down, stalled the node, or the drop coin
+            # fires.
+            if in_flight:
+                keep = []
+                for rec in in_flight:
+                    m, node, alpha = rec
+                    if faults.link_down(node, t) or faults.node_stalled(node, t):
+                        drop(m, t, "fault")  # bufferless: it cannot wait out the outage
+                    elif drop_rng is not None and drop_rng.random() < faults.drop_rate:
+                        drop(m, t, "fault")  # lost on the crossing itself
+                    elif node + 1 == m.dest:
+                        delivered.append(m.id)
+                        trajectories.append(bufferless_trajectory(m, alpha))
+                    else:
+                        rec[1] = node + 1
+                        keep.append(rec)
+                in_flight[:] = keep
+
+            for m in arrivals.pop(t, ()):
+                if not m.feasible:
+                    drop(m, t, "policy")  # revealed already hopeless
+                else:
+                    pending[m.id] = m
+                    self._need_replan = True
+
+            for i in [i for i, m in pending.items() if m.latest_departure < t]:
+                drop(pending.pop(i), t, "policy")
+                planned.pop(i, None)
+
+            if self._need_replan:
+                planned = self._planned = _plan(list(pending.values()), t, reserved)
+                self._replans += 1
+                self._need_replan = False
+
+            # Commit every plan entry whose departure step is now.  Higher
+            # lines first — the same commitment order the offline sweep
+            # uses.
+            due = sorted(
+                (i for i, alpha in planned.items() if pending[i].source - alpha == t),
+                key=lambda i: (-planned[i], i),
             )
-            t = max(t, min(nxt))
-        steps += 1
-
-        # In-flight traversal (fault runs): each live packet crosses the
-        # link at its current node during [t, t+1] — unless the plan took
-        # the link down, stalled the node, or the drop coin fires.
-        if in_flight:
-            keep = []
-            for rec in in_flight:
-                m, node, alpha = rec
-                if faults.link_down(node, t) or faults.node_stalled(node, t):
-                    drop(m, t, "fault")  # bufferless: it cannot wait out the outage
-                elif drop_rng is not None and drop_rng.random() < faults.drop_rate:
-                    drop(m, t, "fault")  # lost on the crossing itself
-                elif node + 1 == m.dest:
+            for i in due:
+                m = pending[i]
+                if faults is not None and faults.sending_blocked(m.source, t):
+                    # Refused launch, not a loss: the message stays pending
+                    # and the planner reroutes it next step.
+                    del planned[i]
+                    self._blocked_launches += 1
+                    self._need_replan = True
+                    continue
+                alpha = planned.pop(i)
+                del pending[i]
+                insort(reserved.setdefault(alpha, []), (m.source, m.dest))
+                self._wait_steps += t - m.release
+                decisions.append(Decision(m.id, "launch", t, alpha=alpha))
+                if tr.enabled:
+                    tr.event(
+                        "online.admit", message=m.id, alpha=alpha, wait=t - m.release
+                    )
+                if faults is not None:
+                    in_flight.append([m, m.source, alpha])
+                else:
                     delivered.append(m.id)
                     trajectories.append(bufferless_trajectory(m, alpha))
-                else:
-                    rec[1] = node + 1
-                    keep.append(rec)
-            in_flight = keep
 
-        for m in arrivals.pop(t, ()):
-            if not m.feasible:
-                drop(m, t, "policy")  # revealed already hopeless
-            else:
-                pending[m.id] = m
-                need_replan = True
+            t += 1
+        self._t = t
+        return decisions[first:]
 
-        for i in [i for i, m in pending.items() if m.latest_departure < t]:
-            drop(pending.pop(i), t, "policy")
-            planned.pop(i, None)
-
-        if need_replan:
-            planned = _plan(list(pending.values()), t, reserved)
-            replans += 1
-            need_replan = False
-
-        # Commit every plan entry whose departure step is now.  Higher
-        # lines first — the same commitment order the offline sweep uses.
-        due = sorted(
-            (i for i, alpha in planned.items() if pending[i].source - alpha == t),
-            key=lambda i: (-planned[i], i),
-        )
-        for i in due:
-            m = pending[i]
-            if faults is not None and faults.sending_blocked(m.source, t):
-                # Refused launch, not a loss: the message stays pending
-                # and the planner reroutes it next step.
-                del planned[i]
-                blocked_launches += 1
-                need_replan = True
-                continue
-            alpha = planned.pop(i)
-            del pending[i]
-            insort(reserved.setdefault(alpha, []), (m.source, m.dest))
-            wait_steps += t - m.release
-            decisions.append(Decision(m.id, "launch", t, alpha=alpha))
-            if tr.enabled:
-                tr.event("online.admit", message=m.id, alpha=alpha, wait=t - m.release)
-            if faults is not None:
-                in_flight.append([m, m.source, alpha])
-            else:
-                delivered.append(m.id)
-                trajectories.append(bufferless_trajectory(m, alpha))
-
-        t += 1
-
-    schedule = Schedule(tuple(trajectories))
-    stats = {
-        "replans": replans,
-        "blocked_launches": blocked_launches,
-        "admission_wait_steps": wait_steps,
-    }
-    if tr.enabled:
-        tr.count("online.runs")
-        tr.count("online.launches", len(decisions) - len(dropped))
-        tr.count("online.drops.policy", sum(1 for r in dropped.values() if r == "policy"))
-        tr.count("online.drops.fault", sum(1 for r in dropped.values() if r == "fault"))
-        tr.count("online.replans", replans)
-        tr.count("online.steps", steps)
-        tr.record_span(
-            "online.run",
-            t0,
+    def _finish(self) -> StreamResult:
+        tr = obs.tracer()
+        if tr.enabled:
+            tr.count("online.replans", self._replans)
+        return StreamResult(
             policy="bfl",
-            n=instance.n,
-            k=len(instance),
-            delivered=len(delivered),
+            schedule=Schedule(tuple(self._trajectories)),
+            delivered_ids=frozenset(self._delivered),
+            dropped=self._dropped,
+            decisions=tuple(self._decisions),
+            steps=self._steps,
+            stats={
+                "replans": self._replans,
+                "blocked_launches": self._blocked_launches,
+                "admission_wait_steps": self._wait_steps,
+            },
         )
-    return StreamResult(
-        policy="bfl",
-        schedule=schedule,
-        delivered_ids=frozenset(delivered),
-        dropped=dropped,
-        decisions=tuple(decisions),
-        steps=steps,
-        stats=stats,
-    )
+
+
+def online_bfl(
+    instance: Instance,
+    *,
+    faults: FaultPlan | None = None,
+    backend: str | None = None,
+) -> StreamResult:
+    """Stream ``instance`` through the incremental scan-line admitter
+    (:class:`BflRunner`, fed the whole instance as one batch)."""
+    from . import run_online
+
+    return run_online(instance, "bfl", faults=faults, backend=backend)

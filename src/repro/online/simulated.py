@@ -3,94 +3,173 @@
 D-BFL and the buffered per-link heuristics already *are* online
 algorithms — every decision at node ``v``, step ``t`` uses only what has
 physically reached ``v`` by ``t`` (the simulator enforces this; see
-:mod:`repro.network.policy`).  These wrappers run them through
-:class:`~repro.network.simulator.LinearNetworkSimulator` and re-express
-the run in the stream vocabulary: a :class:`~repro.online.stream.Decision`
-log (launch = first link crossing; drop attribution from the simulator's
-``drop_events``) and a :class:`~repro.online.stream.StreamResult`.
+:mod:`repro.network.policy`).  :class:`SimulatedRunner` drives them
+through :class:`~repro.network.simulator.LinearNetworkSimulator` and
+re-expresses the run in the stream vocabulary: a
+:class:`~repro.online.stream.Decision` log (launch = first link
+crossing, whether or not the packet is later delivered; drops from the
+simulator's drop events) and a :class:`~repro.online.stream.StreamResult`.
 
 Drop attribution: the simulator's ``"fault"`` drops are *fault* drops;
 ``"deadline"`` (starved until hopeless, or past the horizon) and
 ``"buffer_full"`` (finite buffer full — a consequence of the policy's
 forwarding choices) are *policy* drops.
+
+A run fed in one batch and closed (:func:`repro.online.run_online`)
+hands the whole instance to :meth:`LinearNetworkSimulator.run`, so the
+numpy backend applies.  A run fed in batches steps the python simulator
+(``start`` / ``add`` / ``advance``) up to each frontier; a ``"numpy"``
+request then falls back, counted under ``backend.fallbacks``.  Both give
+the same result (the python ≡ numpy parity invariant).
 """
 
 from __future__ import annotations
 
-import time
+import dataclasses
+from typing import Any, Iterable
 
-from .. import obs
 from ..buffers import DEFAULT_ADMISSION
 from ..core.instance import Instance
 from ..network.faults import FaultPlan
 from ..network.policy import Policy
-from ..network.simulator import SimulationResult, simulate
+from ..network.simulator import LinearNetworkSimulator
+from .runner import OnlineRunner
 from .stream import Decision, StreamResult
 
-__all__ = ["online_dbfl", "online_greedy"]
+__all__ = ["SimulatedRunner", "online_dbfl", "online_greedy"]
 
 GREEDY_POLICIES = ("edf", "fcfs", "laxity", "nearest")
 
 
-def _to_stream_result(
-    name: str,
-    result: SimulationResult,
-    extra_stats: dict | None = None,
-    topology: str = "line",
-) -> StreamResult:
-    launches = [
-        # depart == first link crossing on every topology's trajectory type
-        Decision(traj.message_id, "launch", traj.depart)
-        for traj in result.schedule.trajectories
-    ]
-    dropped: dict[int, str] = {}
-    drops = []
-    for mid, at, why in result.drop_events:
-        reason = "fault" if why == "fault" else "policy"
-        dropped[mid] = reason
-        drops.append(Decision(mid, "drop", at, reason=reason))
-    decisions = tuple(sorted(launches + drops, key=lambda d: (d.time, d.message_id)))
-    st = result.stats
-    stats = {
-        "fault_drops": st.fault_drops,
-        "link_down_blocks": st.link_down_blocks,
-        "stall_blocks": st.stall_blocks,
-        "buffer_overflow_drops": st.buffer_overflow_drops,
-        **(extra_stats or {}),
+def _greedy_policy(policy: str | Policy) -> tuple[str, Policy]:
+    """``(display name, Policy object)`` for a greedy policy name or object."""
+    from .. import baselines
+
+    if isinstance(policy, Policy):
+        return type(policy).__name__, policy
+    if not isinstance(policy, str):
+        raise TypeError(f"policy must be a name or Policy instance, got {policy!r}")
+    named = {
+        "edf": baselines.EDFPolicy,
+        "fcfs": baselines.FCFSPolicy,
+        "laxity": baselines.MinLaxityPolicy,
+        "nearest": baselines.NearestDestPolicy,
     }
-    return StreamResult(
-        policy=name,
-        schedule=result.schedule,
-        delivered_ids=result.delivered_ids,
-        dropped=dropped,
-        decisions=decisions,
-        steps=st.steps,
-        stats=stats,
-        topology=topology,
-    )
-
-
-def _traced(name: str, instance: Instance, run) -> StreamResult:
-    tr = obs.tracer()
-    t0 = time.perf_counter() if tr.enabled else 0.0
-    out = _to_stream_result(
-        name, run(), topology=getattr(instance, "topology", "line")
-    )
-    if tr.enabled:
-        tr.count("online.runs")
-        tr.count("online.launches", out.throughput + len(out.fault_dropped_ids))
-        tr.count("online.drops.policy", len(out.policy_dropped_ids))
-        tr.count("online.drops.fault", len(out.fault_dropped_ids))
-        tr.count("online.steps", out.steps)
-        tr.record_span(
-            "online.run",
-            t0,
-            policy=name,
-            n=getattr(instance, "n", None),
-            k=len(instance),
-            delivered=out.throughput,
+    if policy not in named:
+        raise ValueError(
+            f"unknown policy {policy!r}; choose one of {GREEDY_POLICIES} "
+            "or pass a Policy instance"
         )
+    return policy, named[policy]()
+
+
+def _decision_log(
+    launches: Iterable[tuple[int, int]], drops: Iterable[tuple[int, int, str]]
+) -> list[Decision]:
+    """Decisions from ``(id, time)`` launches and ``(id, time, simulator
+    reason)`` drops, in log order ``(time, message_id)``."""
+    out = [Decision(mid, "launch", at) for mid, at in launches]
+    out.extend(
+        Decision(mid, "drop", at, reason="fault" if why == "fault" else "policy")
+        for mid, at, why in drops
+    )
+    out.sort(key=lambda d: (d.time, d.message_id))
     return out
+
+
+class SimulatedRunner(OnlineRunner):
+    """A simulator policy as a resumable online run.
+
+    The simulator starts stepping on the first feed whose frontier is
+    past time 0; until then arrivals only accumulate, and a close runs
+    the whole instance through :meth:`LinearNetworkSimulator.run`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        instance: Any,
+        policy: Policy,
+        *,
+        buffer_capacity: int | None = None,
+        admission: str = DEFAULT_ADMISSION,
+        faults: FaultPlan | None = None,
+        backend: str | None = None,
+    ) -> None:
+        super().__init__(instance)
+        self.name = name
+        self._options = dict(
+            buffer_capacity=buffer_capacity,
+            admission=admission,
+            faults=faults,
+            backend=backend,
+        )
+        # Built now so a bad capacity, admission or fault plan is
+        # rejected at start, before anything is fed.
+        self._sim = LinearNetworkSimulator(instance, policy, **self._options)
+        self._started = False
+        self._unstarted: list[Any] = []  # arrivals fed before stepping began
+
+    @property
+    def steps(self) -> int:
+        return self._sim.time if self._started else 0
+
+    def _check(self, batch: Any) -> None:
+        self._sim.topology.validate_sim_instance(batch)
+
+    def _add(self, batch: Any) -> None:
+        if self._started:
+            self._sim.add(batch)
+        else:
+            self._unstarted.extend(batch)
+
+    def _advance(self, until: int | None) -> list[Decision]:
+        if not self._started:
+            if until is None or until <= 0:
+                return []  # nothing can happen before time 0
+            from ..backend import fall_back, resolve_backend
+
+            if resolve_backend(self._sim.backend) == "numpy":
+                fall_back("simulator")  # incremental runs step the python loop
+            self._sim.start()
+            self._sim.add(self._whole())
+            self._unstarted = []
+            self._started = True
+        launched, dropped = self._sim.advance(until)
+        return _decision_log(
+            ((p.id, p.crossings[0]) for p in launched),
+            ((p.id, p.dropped_at, p.drop_reason) for p in dropped),
+        )
+
+    def _whole(self) -> Any:
+        return dataclasses.replace(self.instance, messages=tuple(self._unstarted))
+
+    def _finish(self) -> StreamResult:
+        if self._started:
+            result = self._sim.finish()
+        else:
+            result = LinearNetworkSimulator(
+                self._whole(), self._sim.policy, **self._options
+            ).run()
+        st = result.stats
+        return StreamResult(
+            policy=self.name,
+            schedule=result.schedule,
+            delivered_ids=result.delivered_ids,
+            dropped={
+                mid: "fault" if why == "fault" else "policy"
+                for mid, _at, why in result.drop_events
+            },
+            decisions=tuple(_decision_log(result.launch_events, result.drop_events)),
+            steps=st.steps,
+            stats={
+                "fault_drops": st.fault_drops,
+                "link_down_blocks": st.link_down_blocks,
+                "stall_blocks": st.stall_blocks,
+                "buffer_overflow_drops": st.buffer_overflow_drops,
+            },
+            topology=getattr(self.instance, "topology", "line"),
+        )
 
 
 def online_dbfl(
@@ -108,19 +187,15 @@ def online_dbfl(
     request currently falls back to the python loop (counted under
     ``backend.fallbacks``).
     """
-    from ..core.dbfl import DBFLPolicy
+    from . import run_online
 
-    return _traced(
-        "dbfl",
+    return run_online(
         instance,
-        lambda: simulate(
-            instance,
-            DBFLPolicy(),
-            buffer_capacity=buffer_capacity,
-            admission=admission,
-            faults=faults,
-            backend=backend,
-        ),
+        "dbfl",
+        buffer_capacity=buffer_capacity,
+        admission=admission,
+        faults=faults,
+        backend=backend,
     )
 
 
@@ -139,33 +214,14 @@ def online_greedy(
     on the vectorized simulator loop — bit-identical results, including
     the decision log and drop attribution.
     """
-    from .. import baselines
+    from . import run_online
 
-    name = policy if isinstance(policy, str) else type(policy).__name__
-    if isinstance(policy, str):
-        named = {
-            "edf": baselines.EDFPolicy,
-            "fcfs": baselines.FCFSPolicy,
-            "laxity": baselines.MinLaxityPolicy,
-            "nearest": baselines.NearestDestPolicy,
-        }
-        if policy not in named:
-            raise ValueError(
-                f"unknown policy {policy!r}; choose one of {GREEDY_POLICIES} "
-                "or pass a Policy instance"
-            )
-        policy = named[policy]()
-    elif not isinstance(policy, Policy):
-        raise TypeError(f"policy must be a name or Policy instance, got {policy!r}")
-    return _traced(
-        f"greedy:{name}",
+    return run_online(
         instance,
-        lambda: simulate(
-            instance,
-            policy,
-            buffer_capacity=buffer_capacity,
-            admission=admission,
-            faults=faults,
-            backend=backend,
-        ),
+        "greedy",
+        policy=policy,
+        buffer_capacity=buffer_capacity,
+        admission=admission,
+        faults=faults,
+        backend=backend,
     )

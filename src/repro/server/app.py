@@ -618,6 +618,7 @@ class ReproServer:
             "shed_deadline": self.queue.shed_deadline,
             "journal": str(self.journal.root) if self.journal else None,
             "recovered_sessions": self.recovered_sessions,
+            "unrecoverable_sessions": self.sessions.unrecoverable,
         }
 
     def _cells(self) -> dict[str, Any]:

@@ -6,52 +6,56 @@ arrival batches, read back the policy's irrevocable
 :class:`~repro.online.Decision` log as it becomes final, close to get
 the full :class:`~repro.online.StreamResult`.
 
-Correctness rests on the online regime's own contract rather than on a
-second implementation of each policy: every policy is a *deterministic
-function of the arrival stream* (the canonical revelation order of
-:func:`repro.online.arrival_stream`), and an arrival released at time
-``r`` cannot influence anything the policy did strictly before ``r`` —
-``online_bfl`` replans only when arrivals land, and the simulator-backed
-policies step forward in time.  So the session simply **replays** the
-policy over everything fed so far and finalizes the decision-log prefix
-with ``time < frontier``, where the frontier is the largest release fed:
-future batches (whose releases must be >= the frontier, enforced at
-:meth:`OnlineSession.feed`) can only extend that prefix, never rewrite
-it.  Each ``feed`` returns exactly the newly finalized decisions;
-``close`` declares the stream over and returns everything.
+Each session holds one resumable run of its policy — an
+:class:`~repro.online.runner.OnlineRunner`, the same object
+:func:`repro.online.run_online` drives in a single batch, so there is no
+second implementation of any policy.  An online policy's decisions are
+irrevocable, and an arrival released at time ``r`` cannot influence
+anything the policy did strictly before ``r``.  So each ``feed`` hands
+the batch to the runner, which advances through every step before the
+frontier (the largest release fed; later batches must not be released
+before it, enforced at :meth:`OnlineSession.feed`) and returns exactly
+the decisions it made there.  The session appends them to an in-memory
+log; ``close`` runs the policy to completion and returns the rest.  A
+feed costs time proportional to the batch and the steps it advances,
+not to the stream fed so far, and seq retries, :meth:`decisions` and
+repeated closes read the log or the cached result without running
+anything.
 
-Replays cost one policy run per batch — the price of zero duplicated
-policy logic.  The policies are near-linear in the fed set, so a stream
-fed in ``B`` batches costs ``O(B)`` runs over prefixes, fine for the
-serving tier's request sizes.
-
-Durability (PR 8) builds on the same replay determinism: with a
+Durability builds on determinism: with a
 :class:`~repro.server.journal.SessionJournal` attached, every applied
-arrival batch is journaled (fsynced) *before* it is acknowledged, and
-:meth:`StreamSessions.recover` rebuilds the table after a crash by
-re-feeding the journaled batches — the recovered finalized-decision
-prefix is byte-identical to the pre-crash one because both are the same
-pure function of the same inputs.  Feeds carry an optional ``seq``
-number making retries exactly-once (a re-fed batch returns the decisions
-it originally finalized), and ``close`` is idempotent: the session stays
-in the table, answering repeated closes with the same result, until the
-client deletes it.
+arrival batch is journaled (fsynced) *before* it is acknowledged — and
+only after every arrival in it passed validation, so a bad batch never
+reaches the journal — and :meth:`StreamSessions.recover` rebuilds the
+table after a crash by re-feeding the journaled batches: the recovered
+decision log is byte-identical to the pre-crash one because both are
+the same pure function of the same inputs.  Feeds carry an optional
+``seq`` number making retries exactly-once (a re-fed batch returns the
+decisions it originally finalized), and ``close`` is idempotent: the
+session stays in the table, answering repeated closes with the same
+result, until the client deletes it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import secrets
 import threading
 from typing import Any
 
+from .. import obs
 from ..core.instance import Instance
 from ..core.message import Message
 from ..errors import ConfigError, ServerOverloaded
-from ..online import ONLINE_POLICIES, StreamResult, run_online
+from ..online import ONLINE_POLICIES, StreamResult, start_online
+from ..online import run_online  # noqa: F401  (perfbench/launcher.py wraps this name)
 from ..online.stream import Decision
 from .journal import SessionJournal
 
 __all__ = ["OnlineSession", "StreamSessions"]
+
+_log = logging.getLogger(__name__)
 
 #: Topologies with an online dispatch cell the wire can reach.
 STREAM_TOPOLOGIES = ("line", "ring")
@@ -77,6 +81,14 @@ def _parse_message(row: Any, *, topology: str, n: int) -> Any:
     return Message(**fields)
 
 
+def _empty_instance(topology: str, n: int) -> Any:
+    if topology == "ring":
+        from ..topology.ring import RingInstance
+
+        return RingInstance(n, ())
+    return Instance(n, ())
+
+
 def _message_row(message: Any) -> dict[str, Any]:
     """The canonical journal form of one arrival (five fields, ints)."""
     return {
@@ -89,7 +101,7 @@ def _message_row(message: Any) -> dict[str, Any]:
 
 
 class OnlineSession:
-    """One live stream: fed arrivals, the finalized-decision cursor."""
+    """One live stream: its online runner and the decisions handed out."""
 
     def __init__(
         self,
@@ -124,20 +136,21 @@ class OnlineSession:
         self.policy = policy
         self.n = n
         self.options = dict(options or {})
+        # Built here so unknown or invalid options fail the open (400),
+        # before the journal records it.
+        self._runner = start_online(
+            _empty_instance(topology, n), policy, **self.options
+        )
         # Workload provenance ({trace_id, shape, seed}) declared at open;
         # stamped onto the close result so served replays carry the same
         # provenance a local trace replay would.
         self.workload = dict(workload) if workload is not None else None
-        self.closed = False
         self.journal = journal
-        self._messages: list[Any] = []
-        self._ids: set[int] = set()
-        self._frontier = 0
-        self._finalized = 0  # decisions already handed to the client
-        # Per-batch finalized-cursor history: _batch_cursors[k] is the
-        # value of _finalized after batch k applied, so a re-fed batch
-        # (a retry after an ambiguous failure) can return exactly the
-        # decisions it originally finalized.
+        self._log: list[Decision] = []  # decisions handed out by feed, in order
+        self._result: StreamResult | None = None
+        # Per-batch cursor history: _batch_cursors[k] is len(_log) after
+        # batch k applied, so a re-fed batch (a retry after an ambiguous
+        # failure) returns exactly the decisions it originally finalized.
         self._batch_cursors: list[int] = []
 
     # ------------------------------------------------------------- #
@@ -146,31 +159,20 @@ class OnlineSession:
     def frontier(self) -> int:
         """The largest release fed so far — decisions strictly before it
         are final."""
-        return self._frontier
+        return self._runner.frontier
 
     @property
     def fed(self) -> int:
-        return len(self._messages)
+        return self._runner.fed
+
+    @property
+    def closed(self) -> bool:
+        return self._result is not None
 
     @property
     def batches(self) -> int:
         """Arrival batches applied so far (the next expected ``seq``)."""
         return len(self._batch_cursors)
-
-    def _instance(self) -> Any:
-        if self.topology == "ring":
-            from ..topology.ring import RingInstance
-
-            return RingInstance(self.n, tuple(self._messages))
-        return Instance(self.n, tuple(self._messages))
-
-    def _replay(self) -> StreamResult:
-        result = run_online(self._instance(), self.policy, **self.options)
-        if self.workload is not None:
-            import dataclasses
-
-            result = dataclasses.replace(result, workload=dict(self.workload))
-        return result
 
     # ------------------------------------------------------------- #
 
@@ -181,7 +183,8 @@ class OnlineSession:
         stream is revealed in time order — that monotonicity is exactly
         what makes the finalized prefix irrevocable).  The returned
         decisions are the ones that became final with this batch, in
-        decision-log order.
+        decision-log order.  A batch with any bad arrival is rejected
+        whole, before it is journaled or changes any state.
 
         ``seq`` (optional) makes feeds exactly-once: it must equal the
         number of batches applied so far.  A ``seq`` *behind* the cursor
@@ -199,59 +202,46 @@ class OnlineSession:
             if seq < 0:
                 raise ValueError(f"'seq' must be >= 0, got {seq}")
             if seq < applied:
-                # Retry of an acknowledged batch: replay the original
+                # Retry of an acknowledged batch: hand back the original
                 # answer without touching the stream (exactly-once).
                 start = self._batch_cursors[seq - 1] if seq else 0
                 end = self._batch_cursors[seq]
-                result = self._replay()
-                return list(result.decisions[start:end]), self._frontier
+                return self._log[start:end], self.frontier
             if seq > applied:
                 raise ValueError(
                     f"'seq' {seq} skips ahead: stream has applied "
                     f"{applied} batch(es); feed them in order"
                 )
         batch = [_parse_message(r, topology=self.topology, n=self.n) for r in rows]
-        for m in batch:
-            if m.release < self._frontier:
-                raise ValueError(
-                    f"arrival {m.id} released at {m.release}, before the "
-                    f"stream frontier {self._frontier}; feed arrivals in "
-                    "nondecreasing release order"
-                )
-            if m.id in self._ids:
-                raise ValueError(f"duplicate message id {m.id} in stream")
+        self._runner.check(batch)
         if self.journal is not None:
             # WAL contract: the batch is on disk (fsynced) before any
             # state changes or any acknowledgement leaves the server.
             self.journal.append_feed(
                 self.session_id, applied, [_message_row(m) for m in batch]
             )
-        self._messages.extend(batch)
-        self._ids.update(m.id for m in batch)
-        if batch:
-            self._frontier = max(m.release for m in batch)
-        result = self._replay()
-        final = [d for d in result.decisions if d.time < self._frontier]
-        new = final[self._finalized :]
-        self._finalized = len(final)
-        self._batch_cursors.append(self._finalized)
-        return new, self._frontier
+        frontier = max([self.frontier, *(m.release for m in batch)])
+        new = self._runner.feed(batch, frontier)
+        self._log.extend(new)
+        self._batch_cursors.append(len(self._log))
+        return new, frontier
 
     def close(self) -> tuple[StreamResult, list[Decision]]:
         """End the stream: run to completion, return the result plus the
         decisions not yet handed out by :meth:`feed`.
 
-        Idempotent: closing an already-closed session recomputes and
-        returns the same ``(result, remaining)`` — the replay is
-        deterministic — so a client retrying a close whose response was
-        lost gets the original answer.
+        Idempotent: closing an already-closed session returns the same
+        ``(result, remaining)`` from the cached result, so a client
+        retrying a close whose response was lost gets the original answer.
         """
-        if not self.closed and self.journal is not None:
-            self.journal.append_close(self.session_id)
-        result = self._replay()
-        remaining = list(result.decisions[self._finalized :])
-        self.closed = True
-        return result, remaining
+        if self._result is None:
+            if self.journal is not None:
+                self.journal.append_close(self.session_id)
+            result = self._runner.close()
+            if self.workload is not None:
+                result = dataclasses.replace(result, workload=dict(self.workload))
+            self._result = result
+        return self._result, list(self._result.decisions[len(self._log) :])
 
     def decisions(self) -> list[Decision]:
         """The finalized decision log so far (all decisions once closed).
@@ -260,10 +250,9 @@ class OnlineSession:
         the server's — reads this to re-sync with the decisions already
         handed out, byte-identical to what the pre-crash server sent.
         """
-        result = self._replay()
-        if self.closed:
-            return list(result.decisions)
-        return list(result.decisions[: self._finalized])
+        if self._result is not None:
+            return list(self._result.decisions)
+        return list(self._log)
 
     def status(self) -> dict[str, Any]:
         out = {
@@ -273,8 +262,8 @@ class OnlineSession:
             "n": self.n,
             "fed": self.fed,
             "batches": self.batches,
-            "frontier": self._frontier,
-            "finalized": self._finalized,
+            "frontier": self.frontier,
+            "finalized": len(self._log),
             "closed": self.closed,
         }
         if self.workload is not None:
@@ -303,6 +292,8 @@ class StreamSessions:
         self.retry_after = retry_after
         self._sessions: dict[str, OnlineSession] = {}
         self._lock = threading.Lock()
+        #: Journaled sessions :meth:`recover` had to skip.
+        self.unrecoverable = 0
 
     def create(self, **kwargs: Any) -> OnlineSession:
         with self._lock:
@@ -330,13 +321,15 @@ class StreamSessions:
     def recover(self) -> int:
         """Rebuild sessions from the journal; returns how many came back.
 
-        Each journaled session is replayed batch by batch through the
-        same :meth:`OnlineSession.feed` path a live client would use —
-        with journaling suppressed during the replay — so the recovered
-        frontier, finalized cursor and per-batch history are exactly the
-        pre-crash ones.  A session whose replay fails (e.g. a journal
-        written against a policy that no longer exists) is skipped, not
-        fatal: recovery must never take the server down.
+        Each journaled session is re-fed batch by batch through the same
+        :meth:`OnlineSession.feed` path a live client would use — with
+        journaling suppressed — so the recovered frontier, decision log
+        and per-batch history are exactly the pre-crash ones, at a cost
+        linear in the journal.  A session whose re-feed fails (e.g. a
+        journal written against a policy that no longer exists) is
+        logged, counted under ``server.sessions.unrecoverable`` and in
+        :attr:`unrecoverable`, and skipped: recovery must never take the
+        server down.
         """
         if self.journal is None:
             return 0
@@ -357,8 +350,11 @@ class StreamSessions:
                     if record.get("op") == "feed":
                         session.feed(record["rows"], seq=record.get("seq"))
                     elif record.get("op") == "close":
-                        session.closed = True
-            except Exception:
+                        session.close()
+            except Exception as exc:  # any bad journal: skip, never fatal
+                _log.warning("stream session %s is unrecoverable: %r", sid, exc)
+                obs.tracer().count("server.sessions.unrecoverable")
+                self.unrecoverable += 1
                 continue
             session.journal = self.journal
             with self._lock:

@@ -210,6 +210,7 @@ def _assert_sim_parity(
     assert a.schedule == b.schedule, f"schedule diverged: {tag}"
     assert a.delivered_ids == b.delivered_ids, f"delivered diverged: {tag}"
     assert a.drop_events == b.drop_events, f"drop events diverged: {tag}"
+    assert a.launch_events == b.launch_events, f"launch events diverged: {tag}"
     assert a.stats == b.stats, f"stats diverged: {tag}"
 
 

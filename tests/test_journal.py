@@ -9,19 +9,27 @@ at every batch boundary.
 """
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.client import ReproClient
+from repro.obs import Tracer
+from repro.online import run_online
+from repro.server import ReproServer
 from repro.server.journal import JOURNAL_VERSION, SessionJournal
 from repro.server.sessions import OnlineSession, StreamSessions
 from repro.workloads import general_instance
+from repro.workloads.rings import random_ring_instance
 
 
-def _rows(seed, n=8, k=24):
+def _rows(seed, n=8, k=24, topology="line"):
     """A deterministic release-sorted arrival stream as wire rows."""
     rng = np.random.default_rng(seed)
-    inst = general_instance(rng, n=n, k=k, max_release=k // 2, max_slack=6)
+    make = random_ring_instance if topology == "ring" else general_instance
+    inst = make(rng, n=n, k=k, max_release=k // 2, max_slack=6)
     return [
         {
             "id": m.id,
@@ -189,32 +197,58 @@ class TestRecovery:
             result.decisions
         )
 
-    def test_unrecoverable_session_is_skipped_not_fatal(self, tmp_path):
+    def test_unrecoverable_session_is_skipped_not_fatal(self, tmp_path, caplog):
         journal = SessionJournal(tmp_path, fsync=False)
         journal.open_session(
             "st-bad", n=8, topology="line", policy="no-such-policy", options={}
         )
         sessions = StreamSessions(journal=SessionJournal(tmp_path, fsync=False))
-        assert sessions.recover() == 0
+        tracer = Tracer(enabled=True)
+        with obs.use(tracer), caplog.at_level(logging.WARNING):
+            assert sessions.recover() == 0
         assert len(sessions) == 0
+        # logged with the session id, counted, and reported in health
+        assert any("st-bad" in r.getMessage() for r in caplog.records)
+        assert tracer.counters["server.sessions.unrecoverable"] == 1
+        assert sessions.unrecoverable == 1
+        srv = ReproServer(
+            port=0, jobs=1, journal=str(tmp_path), journal_fsync=False
+        ).start_in_thread()
+        try:
+            with ReproClient(srv.url) as client:
+                health = client.health()
+        finally:
+            srv.shutdown()
+        assert health["recovered_sessions"] == 0
+        assert health["unrecoverable_sessions"] == 1
 
 
 class TestCrashPointProperty:
-    """50 seeded streams x random crash points: the recovered prefix is
-    byte-identical to the uncrashed control's, every time."""
+    """50 seeded streams x random crash points, per policy and topology:
+    the recovered prefix is byte-identical to the uncrashed control's,
+    every time."""
 
     @pytest.mark.timeout(300)
     def test_recovery_prefix_byte_identical(self, tmp_path):
+        self._crash_points(tmp_path, "line", "bfl")
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("topology", ["line", "ring"])
+    def test_recovery_prefix_byte_identical_greedy(self, tmp_path, topology):
+        self._crash_points(tmp_path, topology, "greedy")
+
+    @staticmethod
+    def _crash_points(tmp_path, topology, policy):
         rng = np.random.default_rng(2024)
         for trial in range(50):
             seed = int(rng.integers(0, 2**31 - 1))
             batch_size = int(rng.integers(3, 9))
-            batches = _batches(_rows(seed, n=8, k=20), batch_size)
+            batches = _batches(_rows(seed, n=8, k=20, topology=topology), batch_size)
             crash_after = int(rng.integers(1, len(batches) + 1))
 
             root = tmp_path / f"trial-{trial}"
             sessions = StreamSessions(journal=SessionJournal(root, fsync=False))
-            live = sessions.create(n=8, topology="line", policy="bfl")
+            live = sessions.create(n=8, topology=topology, policy=policy)
             acked = []
             for i, batch in enumerate(batches[:crash_after]):
                 new, _ = live.feed(batch, seq=i)
@@ -237,7 +271,7 @@ class TestCrashPointProperty:
             rec = recovered_table.get(live.session_id)
 
             # An uncrashed control fed the same applied batches.
-            control = OnlineSession("control", n=8, policy="bfl")
+            control = OnlineSession("control", n=8, topology=topology, policy=policy)
             for i, batch in enumerate(batches[: rec.batches]):
                 control.feed(batch, seq=i)
 
@@ -253,3 +287,93 @@ class TestCrashPointProperty:
             # survive whenever their batches did.
             if rec.batches == crash_after:
                 assert _decision_bytes(rec.decisions()) == _decision_bytes(acked)
+
+
+class TestRejectedInput:
+    """Bad arrivals and bad options are refused with a 400 before the
+    journal records anything, so they cannot poison a session."""
+
+    ROW = {"id": 1, "source": 0, "dest": 3, "release": 2, "deadline": 12}
+    BAD = {
+        "repeated id": [ROW, ROW],
+        "endpoint off the line": [{**ROW, "dest": 8}],
+        "right to left": [{**ROW, "source": 5, "dest": 1}],
+    }
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        srv = ReproServer(
+            port=0, jobs=1, journal=str(tmp_path), journal_fsync=False
+        ).start_in_thread()
+        try:
+            with ReproClient(srv.url) as client:
+                yield client
+        finally:
+            srv.shutdown()
+
+    @staticmethod
+    def _post(client, path, body):
+        status, data, _ = client._request("POST", path, body)
+        return status, data
+
+    @pytest.mark.parametrize("policy", ["bfl", "greedy"])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_bad_feed_changes_nothing(self, served, tmp_path, policy, bad):
+        status, opened = self._post(served, "/v1/streams", {"n": 8, "policy": policy})
+        assert status == 201
+        sid = opened["stream"]
+        arrivals = f"/v1/streams/{sid}/arrivals"
+        first = {"id": 0, "source": 0, "dest": 4, "release": 1, "deadline": 9}
+        assert self._post(served, arrivals, {"messages": [first], "seq": 0})[0] == 200
+        wal = tmp_path / f"{sid}.wal"
+        journaled = wal.read_bytes()
+        before = served._call("GET", f"/v1/streams/{sid}")
+
+        status, data = self._post(
+            served, arrivals, {"messages": self.BAD[bad], "seq": 1}
+        )
+        assert status == 400, data
+        assert wal.read_bytes() == journaled
+        after = served._call("GET", f"/v1/streams/{sid}")
+        assert (after["fed"], after["batches"]) == (before["fed"], before["batches"])
+
+        status, data = self._post(served, arrivals, {"messages": [self.ROW], "seq": 1})
+        assert status == 200, data
+        table = StreamSessions(journal=SessionJournal(tmp_path, fsync=False))
+        assert table.recover() == 1
+        assert table.get(sid).status()["batches"] == 2
+
+    @pytest.mark.parametrize(
+        "policy, options",
+        [("bfl", {"bogus": 1}), ("greedy", {"bogus": 1}),
+         ("greedy", {"buffer_capacity": -3}), ("greedy", {"policy": "nope"})],
+    )
+    def test_bad_options_fail_the_open(self, served, tmp_path, policy, options):
+        status, data = self._post(
+            served, "/v1/streams", {"n": 8, "policy": policy, "options": options}
+        )
+        assert status == 400, data
+        assert list(tmp_path.glob("*.wal")) == []
+
+    def test_greedy_sub_policy_option(self, served):
+        rows = _rows(seed=4)
+        status, opened = self._post(
+            served,
+            "/v1/streams",
+            {"n": 8, "policy": "greedy", "options": {"policy": "fcfs"}},
+        )
+        assert status == 201, opened
+        sid = opened["stream"]
+        for i, batch in enumerate(_batches(rows, 6)):
+            path = f"/v1/streams/{sid}/arrivals"
+            assert self._post(served, path, {"messages": batch, "seq": i})[0] == 200
+        status, closed = self._post(served, f"/v1/streams/{sid}/close", {})
+        assert status == 200
+        from repro.core.instance import Instance
+        from repro.core.message import Message
+
+        local = run_online(
+            Instance(8, tuple(Message(**r) for r in rows)), "greedy", policy="fcfs"
+        )
+        assert closed["result"]["policy"] == "greedy:fcfs"
+        assert closed["result"] == local.to_dict()
