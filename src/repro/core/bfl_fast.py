@@ -33,7 +33,7 @@ from .. import obs
 from .instance import Instance
 from .message import Direction
 from .schedule import Schedule
-from .trajectory import bufferless_trajectory
+from .trajectory import Trajectory
 
 __all__ = ["bfl_fast", "assign_lines", "kernel_columns"]
 
@@ -47,9 +47,10 @@ def kernel_columns(
     exactly as :func:`bfl_fast` preprocesses its input, so both backends
     — and the kernel benchmarks — start from identical columns.
     """
-    work = instance.drop_infeasible()
     if clip_slack:
-        work = work.clipped_slack()
+        work = instance.drop_infeasible().clipped_slack().messages
+    else:
+        work = [m for m in instance.messages if m.feasible]
     k = len(work)
     src = [0] * k
     dst = [0] * k
@@ -176,9 +177,19 @@ def bfl_fast(instance: Instance, *, clip_slack: bool = False) -> Schedule:
     assignment, lines_swept, segments_scanned = assign_lines(
         src, dst, mid, amin, amax
     )
-    trajectories = [
-        bufferless_trajectory(instance[mid[j]], alpha) for j, alpha in assignment
-    ]
+    # Each launch is the straight line of its columns' message on line
+    # `alpha`: departure src - alpha, one hop per step to dst.
+    trajectories = []
+    for j, alpha in assignment:
+        if not amin[j] <= alpha <= amax[j]:
+            raise ValueError(
+                f"scan line {alpha} outside message {mid[j]}'s window "
+                f"[{amin[j]}, {amax[j]}]"
+            )
+        t0 = src[j] - alpha
+        trajectories.append(
+            Trajectory(mid[j], src[j], tuple(range(t0, t0 + dst[j] - src[j])))
+        )
 
     if tr.enabled:
         tr.count("bfl.launches")

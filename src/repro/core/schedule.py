@@ -9,6 +9,13 @@ number of messages delivered.
 internal consistency but not instance-compatibility — use
 :func:`repro.core.validate.validate_schedule` for the full check against an
 :class:`~repro.core.instance.Instance`.
+
+Construction checks ids and edge-disjointness in bulk: one set of ids and
+one set of ``(node, time)`` edges, compared in size with the trajectory and
+edge counts.  Only a failed check runs the per-edge owner loop, which names
+the first duplicate id or contested edge.  No edge map is kept: the
+schedule holds only its trajectories, and :meth:`Schedule.edge_owner`
+builds the map with that same loop on demand.
 """
 
 from __future__ import annotations
@@ -19,6 +26,25 @@ from typing import Iterable, Iterator, Mapping
 from .trajectory import DiagEdge, Trajectory
 
 __all__ = ["Schedule", "ConflictError"]
+
+
+def _owner_map(trajectories: Iterable[Trajectory]) -> dict[DiagEdge, int]:
+    """Map each crossed diagonal edge to its message id, in order.
+
+    Raises ``ValueError`` on the first repeated message id and
+    :class:`ConflictError` on the first edge claimed twice.
+    """
+    owner: dict[DiagEdge, int] = {}
+    ids: set[int] = set()
+    for traj in trajectories:
+        if traj.message_id in ids:
+            raise ValueError(f"message {traj.message_id} scheduled twice")
+        ids.add(traj.message_id)
+        for edge in traj.diagonal_edges():
+            if edge in owner:
+                raise ConflictError(edge, owner[edge], traj.message_id)
+            owner[edge] = traj.message_id
+    return owner
 
 
 class ConflictError(ValueError):
@@ -42,17 +68,23 @@ class Schedule:
     trajectories: tuple[Trajectory, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        owner: dict[DiagEdge, int] = {}
-        ids: set[int] = set()
-        for traj in self.trajectories:
-            if traj.message_id in ids:
-                raise ValueError(f"message {traj.message_id} scheduled twice")
-            ids.add(traj.message_id)
-            for edge in traj.diagonal_edges():
-                if edge in owner:
-                    raise ConflictError(edge, owner[edge], traj.message_id)
-                owner[edge] = traj.message_id
-        object.__setattr__(self, "_edge_owner", owner)
+        trajectories = self.trajectories
+        edges: set[DiagEdge] = set()
+        crossed = 0
+        for traj in trajectories:
+            c = traj.crossings
+            edges.update(zip(range(traj.source, traj.source + len(c)), c))
+            crossed += len(c)
+        ids = {t.message_id for t in trajectories}
+        if len(ids) != len(trajectories) or len(edges) != crossed:
+            _owner_map(trajectories)  # raises the first conflict in order
+
+    def __setstate__(self, state: dict) -> None:
+        # On-disk result caches written by older releases pickled an eager
+        # `_edge_owner` map with every schedule; shed it on load.
+        state = dict(state)
+        state.pop("_edge_owner", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
 
@@ -97,8 +129,9 @@ class Schedule:
     # ------------------------------------------------------------------ #
 
     def edge_owner(self) -> Mapping[DiagEdge, int]:
-        """Read-only map from each occupied diagonal edge to its message id."""
-        return dict(self._edge_owner)  # type: ignore[attr-defined]
+        """Map from each occupied diagonal edge to its message id, built on
+        demand (a fresh dict per call)."""
+        return _owner_map(self.trajectories)
 
     def delivery_lines(self) -> dict[int, int]:
         """Map message id -> ao-parameter of the scan line of its final hop.

@@ -118,7 +118,7 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
             Trajectory(
                 message_id=int(row["message_id"]),
                 source=int(row["source"]),
-                crossings=tuple(int(t) for t in row["crossings"]),
+                crossings=tuple(map(int, row["crossings"])),
             )
             for row in data["trajectories"]
         )

@@ -10,7 +10,10 @@ An :class:`OnlineRunner` is one policy as such a step machine:
 * :meth:`~OnlineRunner.feed` reveals a batch of arrivals and advances
   the policy through every time step ``t < frontier``, returning exactly
   the decisions it made there — in decision-log order, so the
-  concatenated feeds are a prefix of the final log;
+  concatenated feeds are a prefix of the final log.  It is
+  :meth:`~OnlineRunner.check` (validate, no state change) then
+  :meth:`~OnlineRunner.apply`, which a caller can split to act in
+  between — a served session journals the batch there;
 * :meth:`~OnlineRunner.close` runs to completion and returns the
   :class:`~repro.online.stream.StreamResult`.
 
@@ -92,15 +95,16 @@ class OnlineRunner:
         """Reveal ``messages``, then advance through every step ``t <
         frontier``; returns the decisions made in those steps.
 
-        Later batches must not be released before ``frontier``.
+        Later batches must not be released before ``frontier``.  The same
+        as :meth:`check` followed by :meth:`apply`.
         """
-        if self._result is not None:
-            raise ValueError("the online run is closed")
-        if frontier < self.frontier:
-            raise ValueError(
-                f"frontier {frontier} is behind the run's frontier {self.frontier}"
-            )
-        batch = self.check(messages)
+        self._check_open(frontier)
+        return self.apply(self.check(messages), frontier)
+
+    def apply(self, batch: Any, frontier: int) -> list[Decision]:
+        """:meth:`feed` for a batch :meth:`check` has already returned,
+        validated against the current state; does not validate again."""
+        self._check_open(frontier)
         tr = obs.tracer()
         t0 = time.perf_counter() if tr.enabled else 0.0
         steps0 = self.steps
@@ -112,6 +116,14 @@ class OnlineRunner:
             tr.count("online.steps", self.steps - steps0)
             self._busy_s += time.perf_counter() - t0
         return new
+
+    def _check_open(self, frontier: int) -> None:
+        if self._result is not None:
+            raise ValueError("the online run is closed")
+        if frontier < self.frontier:
+            raise ValueError(
+                f"frontier {frontier} is behind the run's frontier {self.frontier}"
+            )
 
     def close(self) -> StreamResult:
         """Run to completion and return the result (idempotent)."""

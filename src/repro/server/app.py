@@ -23,7 +23,9 @@ framework dependency.  The moving parts:
 Every response carries ``x-repro-request-id`` (echoing the client's
 header or minting one), and every solve result gains the schema-v3
 ``request`` block: request id, answering server, execution backend, and
-seconds spent waiting in the queue.
+seconds spent waiting in the queue.  A solve result is encoded to JSON
+once, after that stamp; the idempotency LRU keeps the encoded bytes, so
+a replay sends the very bytes the first answer did.
 """
 
 from __future__ import annotations
@@ -61,11 +63,22 @@ _MAX_BODY = 16 * 1024 * 1024  # refuse absurd payloads before buffering them
 _log = logging.getLogger("repro.server")
 
 
+#: A response body: a payload still to encode, or JSON already encoded.
+Body = dict[str, Any] | bytes
+
+
+def _encode(payload: dict[str, Any]) -> bytes:
+    return json.dumps(payload).encode()
+
+
 class _HttpError(Exception):
     """Internal short-circuit: a ready-to-send error response."""
 
-    def __init__(self, status: int, body: dict[str, Any], headers=()):
-        super().__init__(body.get("error", {}).get("message", ""))
+    def __init__(self, status: int, body: Body, headers=()):
+        message = ""
+        if isinstance(body, dict):
+            message = body.get("error", {}).get("message", "")
+        super().__init__(message)
         self.status = status
         self.body = body
         self.headers = tuple(headers)
@@ -122,9 +135,10 @@ class ReproServer:
         self.default_deadline_ms = default_deadline_ms
         self.request_timeout = request_timeout
         self._idempotent: collections.OrderedDict[
-            str, tuple[int, dict[str, Any]]
+            str, tuple[int, bytes]
         ] = collections.OrderedDict()
         self._idempotency_capacity = idempotency_capacity
+        self._idempotent_bytes = 0
         self._trace_path = trace
         self._tracer: obs.Tracer | None = None
         self._manifest: obs.RunManifest | None = None
@@ -402,12 +416,12 @@ class ReproServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict[str, Any],
+        payload: Body,
         *,
         keep_alive: bool,
         extra: tuple[tuple[str, str], ...] = (),
     ) -> None:
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else _encode(payload)
         head = [
             f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
             "Content-Type: application/json",
@@ -431,7 +445,7 @@ class ReproServer:
 
     async def _dispatch(
         self, verb: str, target: str, body: bytes, headers: dict[str, str]
-    ) -> tuple[int, dict[str, Any], tuple[tuple[str, str], ...]]:
+    ) -> tuple[int, Body, tuple[tuple[str, str], ...]]:
         request_id = self._request_id(headers)
         t0 = time.perf_counter()
         route = f"{verb} {target}"
@@ -505,7 +519,7 @@ class ReproServer:
         body: bytes,
         headers: dict[str, str],
         request_id: str,
-    ) -> tuple[int, dict[str, Any], str]:
+    ) -> tuple[int, Body, str]:
         path = target.split("?", 1)[0].rstrip("/")
         if path == "/v1/health" and verb == "GET":
             return 200, self._health(), "GET /v1/health"
@@ -619,6 +633,8 @@ class ReproServer:
             "journal": str(self.journal.root) if self.journal else None,
             "recovered_sessions": self.recovered_sessions,
             "unrecoverable_sessions": self.sessions.unrecoverable,
+            "idempotency_entries": len(self._idempotent),
+            "idempotency_bytes": self._idempotent_bytes,
         }
 
     def _cells(self) -> dict[str, Any]:
@@ -647,18 +663,24 @@ class ReproServer:
             raise ValueError(f"deadline_ms must be > 0, got {value}")
         return value
 
-    def _remember(self, key: str, status: int, payload: dict[str, Any]) -> None:
-        """Cache a terminal response under its idempotency key (LRU).
+    def _remember(self, key: str, status: int, payload: Body) -> None:
+        """Cache a terminal response's encoded body under its idempotency
+        key (LRU); memory is about entries × response size.
 
         429s are deliberately not cached — overload is transient and a
         retry should get a fresh admission decision, not a replayed shed.
         """
         if not key or status == ERROR_STATUS["overloaded"]:
             return
-        self._idempotent[key] = (status, payload)
-        self._idempotent.move_to_end(key)
+        body = payload if isinstance(payload, bytes) else _encode(payload)
+        old = self._idempotent.pop(key, None)
+        if old is not None:
+            self._idempotent_bytes -= len(old[1])
+        self._idempotent[key] = (status, body)
+        self._idempotent_bytes += len(body)
         while len(self._idempotent) > self._idempotency_capacity:
-            self._idempotent.popitem(last=False)
+            _, (_, evicted) = self._idempotent.popitem(last=False)
+            self._idempotent_bytes -= len(evicted)
 
     async def _solve(
         self,
@@ -666,7 +688,7 @@ class ReproServer:
         tenant: str,
         request_id: str,
         headers: dict[str, str],
-    ) -> tuple[int, dict[str, Any]]:
+    ) -> tuple[int, Body]:
         idem_key = str(
             headers.get("x-repro-idempotency-key")
             or data.pop("idempotency_key", "")
@@ -680,10 +702,10 @@ class ReproServer:
                 self._idempotent.move_to_end(idem_key)
                 if self._tracer is not None:
                     self._tracer.count("server.idempotent_hits")
-                status, payload = cached
+                status, body = cached
                 if status >= 400:
-                    raise _HttpError(status, payload)
-                return status, payload
+                    raise _HttpError(status, body)
+                return status, body
         if "instance" not in data:
             raise ValueError("solve request needs an 'instance' document")
         deadline_ms = self._deadline_ms(headers, data)
@@ -715,8 +737,9 @@ class ReproServer:
             if self._tracer is not None:
                 self._tracer.count("server.solves")
                 self._tracer.count("server.queue_seconds", queue_seconds)
-            self._remember(idem_key, 200, result)
-            return 200, result
+            body = _encode(result)
+            self._remember(idem_key, 200, body)
+            return 200, body
         err = out["error"]
         status = ERROR_STATUS[err["error"]["type"]]
         self._remember(idem_key, status, err)

@@ -213,7 +213,7 @@ class OnlineSession:
                     f"{applied} batch(es); feed them in order"
                 )
         batch = [_parse_message(r, topology=self.topology, n=self.n) for r in rows]
-        self._runner.check(batch)
+        checked = self._runner.check(batch)
         if self.journal is not None:
             # WAL contract: the batch is on disk (fsynced) before any
             # state changes or any acknowledgement leaves the server.
@@ -221,7 +221,7 @@ class OnlineSession:
                 self.session_id, applied, [_message_row(m) for m in batch]
             )
         frontier = max([self.frontier, *(m.release for m in batch)])
-        new = self._runner.feed(batch, frontier)
+        new = self._runner.apply(checked, frontier)
         self._log.extend(new)
         self._batch_cursors.append(len(self._log))
         return new, frontier

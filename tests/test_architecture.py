@@ -10,6 +10,11 @@ Two machine-checked invariants of the topology refactor:
   entire job is to delegate into the new home.
 * **Doc sync** — the dispatch table in ``docs/api.md`` lists exactly the
   cells of the live ``api.DISPATCH`` matrix.
+* **Schedule privacy** — outside ``repro/core/schedule.py`` no module
+  reads a ``Schedule``'s private edge bookkeeping (an ``_edge_owner``
+  map, the ``_owner_map`` reference loop), so no hot path can come to
+  depend on an eager edge map again; ``Schedule.edge_owner()`` is the
+  public, on-demand view.
 """
 
 import ast
@@ -138,6 +143,56 @@ class TestImportContract:
             assert path.exists(), name
             text = path.read_text()
             assert "topology" in text, f"{name} no longer delegates; unexempt it"
+
+
+#: Private names of ``repro.core.schedule`` no other module may touch.
+SCHEDULE_PRIVATE = {"_edge_owner", "_owner_map"}
+ROOT = SRC.parent.parent
+
+
+def _schedule_private_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.ImportFrom):
+            name = next(
+                (a.name for a in node.names if a.name in SCHEDULE_PRIVATE), None
+            )
+        elif isinstance(node, ast.Constant):  # getattr(s, "_edge_owner")
+            name = node.value
+        else:
+            continue
+        if name in SCHEDULE_PRIVATE:
+            hits.append(f"{path}:{node.lineno} reads {name}")
+    return hits
+
+
+class TestSchedulePrivacy:
+    def test_no_module_reads_schedule_private_state(self):
+        own = SRC / "core" / "schedule.py"
+        files = [
+            path
+            for top in ("src", "benchmarks", "examples", "perfbench")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            if path != own
+        ]
+        assert any(path.parent == SRC / "server" for path in files)
+        violations = [hit for path in files for hit in _schedule_private_reads(path)]
+        assert not violations, (
+            "read the edge map through Schedule.edge_owner(), not its "
+            "private state:\n" + "\n".join(violations)
+        )
+
+    def test_check_flags_private_reads(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "from repro.core.schedule import _owner_map\n"
+            "def f(s):\n"
+            "    return s._edge_owner, getattr(s, '_edge_owner')\n"
+        )
+        assert len(_schedule_private_reads(bad)) == 3
 
 
 DISPATCH_ROW = re.compile(

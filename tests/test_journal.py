@@ -121,6 +121,30 @@ class TestSequencedFeeds:
         assert session.batches == 2
         assert session.fed == len(batches[0]) + len(batches[1])
 
+    @pytest.mark.parametrize("policy", ["bfl", "greedy"])
+    def test_feed_is_validated_once_then_journaled_then_applied(
+        self, tmp_path, policy
+    ):
+        journal = SessionJournal(tmp_path, fsync=False)
+        session = OnlineSession("st-x", n=8, policy=policy, journal=journal)
+        runner = session._runner
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        runner.check = spy("check", runner.check)
+        runner.apply = spy("apply", runner.apply)
+        journal.append_feed = spy("journal", journal.append_feed)
+        for i, batch in enumerate(_batches(_rows(seed=7), 8)):
+            calls.clear()
+            session.feed(batch, seq=i)
+            assert calls == ["check", "journal", "apply"]
+
     def test_gap_in_seq_is_rejected(self):
         session = OnlineSession("st-x", n=8, policy="bfl")
         with pytest.raises(ValueError, match="skips ahead"):

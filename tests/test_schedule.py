@@ -1,6 +1,10 @@
 """Unit tests for Schedule."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.schedule import ConflictError, Schedule
 from repro.core.trajectory import Trajectory
@@ -111,3 +115,113 @@ class TestBufferOccupancy:
         a = Trajectory(0, 0, (0, 3))  # node 1 during [1, 3)
         b = Trajectory(1, 0, (4, 8))  # node 1 during [5, 8)
         assert Schedule((a, b)).max_buffer_occupancy() == {1: 1}
+
+
+def reference_owner(trajectories):
+    """The eager per-edge check ``Schedule`` ran on every construction
+    before the bulk check: the oracle for which sets are accepted and
+    for the exact error a rejected set raises."""
+    owner = {}
+    ids = set()
+    for traj in trajectories:
+        if traj.message_id in ids:
+            raise ValueError(f"message {traj.message_id} scheduled twice")
+        ids.add(traj.message_id)
+        for edge in traj.diagonal_edges():
+            if edge in owner:
+                raise ConflictError(edge, owner[edge], traj.message_id)
+            owner[edge] = traj.message_id
+    return owner
+
+
+@st.composite
+def trajectory_sets(draw):
+    """Random trajectories on a small lattice, so shared edges occur, plus
+    injected duplicate ids and injected copies of another's edge."""
+    out = []
+    for i in range(draw(st.integers(0, 7))):
+        source = draw(st.integers(0, 5))
+        depart = draw(st.integers(0, 6))
+        waits = draw(st.lists(st.integers(0, 2), min_size=0, max_size=4))
+        crossings, t = [depart], depart
+        for w in waits:
+            t += 1 + w
+            crossings.append(t)
+        out.append(Trajectory(i, source, tuple(crossings)))
+    for _ in range(draw(st.integers(0, 2))):
+        if not out:
+            break
+        victim = draw(st.sampled_from(out))
+        kind = draw(st.sampled_from(["dup_id", "shared_edge"]))
+        if kind == "dup_id":
+            clone = Trajectory(
+                victim.message_id, draw(st.integers(0, 5)), (draw(st.integers(0, 9)),)
+            )
+        else:
+            j = draw(st.integers(0, len(victim.crossings) - 1))
+            clone = Trajectory(
+                100 + len(out), victim.source + j, (victim.crossings[j],)
+            )
+        out.insert(draw(st.integers(0, len(out))), clone)
+    return out
+
+
+class TestBulkCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(trajectory_sets())
+    def test_accepts_and_raises_exactly_as_reference(self, trajectories):
+        try:
+            expected = reference_owner(trajectories)
+        except ValueError as ref_exc:
+            with pytest.raises(type(ref_exc)) as exc_info:
+                Schedule(tuple(trajectories))
+            got = exc_info.value
+            assert type(got) is type(ref_exc)
+            assert str(got) == str(ref_exc)
+            if isinstance(ref_exc, ConflictError):
+                assert (got.edge, got.first, got.second) == (
+                    ref_exc.edge,
+                    ref_exc.first,
+                    ref_exc.second,
+                )
+        else:
+            s = Schedule(tuple(trajectories))
+            assert s.edge_owner() == expected
+
+
+#: ``pickle.dumps(Schedule(...), protocol=4)`` as written by releases that
+#: kept an eager ``_edge_owner`` map in the instance state.
+EAGER_OWNER_PICKLE = (
+    b"\x80\x04\x95\xbc\x00\x00\x00\x00\x00\x00\x00\x8c\x13repro.core.schedule"
+    b"\x94\x8c\x08Schedule\x94\x93\x94)\x81\x94}\x94(\x8c\x0ctrajectories\x94"
+    b"\x8c\x15repro.core.trajectory\x94\x8c\nTrajectory\x94\x93\x94)\x81\x94]"
+    b"\x94(K\x01K\x00K\x05K\x06\x86\x94ebh\x08)\x81\x94]\x94(K\x02K\x01K\x00K"
+    b"\x03\x86\x94eb\x86\x94\x8c\x0b_edge_owner\x94}\x94(K\x00K\x05\x86\x94K"
+    b"\x01K\x01K\x06\x86\x94K\x01K\x01K\x00\x86\x94K\x02K\x02K\x03\x86\x94K"
+    b"\x02uub."
+)
+
+
+class TestNoEagerEdgeMap:
+    def test_no_edge_map_in_instance_state(self):
+        s = Schedule((straight(1, 0, 5, 2), straight(2, 1, 0, 3)))
+        assert "_edge_owner" not in vars(s)
+        assert set(vars(s)) == {"trajectories"}
+
+    def test_edge_owner_is_a_fresh_map(self):
+        s = Schedule((straight(1, 0, 5, 2),))
+        owner = s.edge_owner()
+        owner[(9, 9)] = 7
+        assert s.edge_owner() == {(0, 5): 1, (1, 6): 1}
+
+    def test_roundtrip_pickle(self):
+        s = Schedule((straight(1, 0, 5, 2), Trajectory(2, 1, (0, 3))))
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and "_edge_owner" not in vars(back)
+
+    def test_pickle_with_eager_edge_map_loads(self):
+        loaded = pickle.loads(EAGER_OWNER_PICKLE)
+        expected = Schedule((Trajectory(1, 0, (5, 6)), Trajectory(2, 1, (0, 3))))
+        assert loaded == expected
+        assert "_edge_owner" not in vars(loaded)
+        assert loaded.edge_owner() == {(0, 5): 1, (1, 6): 1, (1, 0): 2, (2, 3): 2}

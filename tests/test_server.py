@@ -10,6 +10,7 @@ as ordinary 200s; backpressure and typed errors surface as the same
 exceptions a local call would raise.
 """
 
+import http.client
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.client import ReproClient
 from repro.errors import BudgetExceeded, ConfigError, ServerError, ServerOverloaded
 from repro.online import run_online
 from repro.server import ReproServer, error_body, solve_cell
+from repro.topology import topology_of
 from repro.workloads import general_instance
 from repro.workloads.meshes import random_mesh_instance
 from repro.workloads.rings import random_ring_instance
@@ -365,3 +367,78 @@ class TestWireSchema:
         payload["version"] = api.ScheduleResult.SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="version"):
             api.ScheduleResult.from_dict(payload)
+
+
+def _raw_solve(server, inst, regime, method, *, key=None, **opts):
+    """POST one solve at the HTTP level; returns ``(status, body bytes)``."""
+    doc = {
+        "instance": topology_of(inst).instance_to_dict(inst),
+        "regime": regime,
+        "method": method,
+        "options": opts,
+    }
+    headers = {"Content-Type": "application/json"}
+    if key is not None:
+        headers["x-repro-idempotency-key"] = key
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/solve", json.dumps(doc), headers)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+class TestEncodedResponses:
+    """Solve bodies are encoded once and replayed as the same bytes."""
+
+    @pytest.mark.parametrize(
+        "inst,regime,method",
+        [
+            (_line(), "bufferless", "bfl"),
+            (_line(seed=5).with_buffer_capacity(2), "buffered", "ca"),
+        ],
+        ids=["line-bufferless-bfl", "line-buffered-ca-capacity2"],
+    )
+    def test_body_is_local_to_dict_plus_request(self, server, inst, regime, method):
+        status, body = _raw_solve(server, inst, regime, method)
+        assert status == 200
+        served = json.loads(body)
+        expected = api.solve(inst, regime, method).to_dict()
+        if inst.buffer_capacity is not None:
+            assert "buffers" in expected
+        # wall-clock telemetry is the only volatile value; keep its key's
+        # place in the order and take the served value
+        expected["telemetry"] = served["telemetry"]
+        expected["request"] = served["request"]
+        assert list(served) == list(expected) and list(served)[-1] == "request"
+        assert body == json.dumps(expected).encode()
+
+    def test_idempotent_replay_is_byte_identical(self, server, client):
+        status, first = _raw_solve(server, _line(), "bufferless", "bfl", key="enc-1")
+        served = client.health()["served"]
+        status2, again = _raw_solve(server, _line(), "bufferless", "bfl", key="enc-1")
+        assert status == status2 == 200
+        assert again == first
+        assert client.health()["served"] == served
+
+    def test_error_replay_is_byte_identical(self, server):
+        first = _raw_solve(server, _line(), "bufferless", "nope", key="enc-err")
+        again = _raw_solve(server, _line(), "bufferless", "nope", key="enc-err")
+        assert first[0] == 400
+        assert again == first
+        assert json.loads(first[1])["error"]["type"] == "config"
+
+    def test_lru_reports_entries_and_bytes(self):
+        srv = ReproServer(port=0, jobs=1, idempotency_capacity=4).start_in_thread()
+        try:
+            bodies = [
+                _raw_solve(srv, _line(seed=i), "bufferless", "bfl", key=f"k{i}")[1]
+                for i in range(8)
+            ]
+            with ReproClient(srv.url) as c:
+                health = c.health()
+            assert health["idempotency_entries"] == 4
+            assert health["idempotency_bytes"] == sum(map(len, bodies[-4:]))
+        finally:
+            srv.shutdown()
