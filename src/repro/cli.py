@@ -14,15 +14,6 @@ Commands:
   worker-crash respawn, and resume from the checkpoint journal on re-run;
 * ``repro obs report t.jsonl`` — summarize a trace: per-phase timings,
   solver node counts, cache hit rates;
-* ``repro bench`` — time the BFL kernel and the sweep engine, write the
-  JSON perf baseline (``repro bench online`` benchmarks the online
-  policies instead, writing ``BENCH_PR4.json``; ``repro bench kernels``
-  compares the python vs numpy execution backends, writing
-  ``BENCH_PR6.json``; ``repro bench serve`` load-tests a loopback
-  scheduling server, writing ``BENCH_PR7.json``; ``repro bench chaos``
-  runs the fault-injection smoke, writing ``BENCH_PR8.json``;
-  ``repro bench loadtest`` replays traffic-shape traces against a
-  loopback server, writing ``BENCH_PR9.json``);
 * ``repro trace generate|info|replay`` — workload traces
   (:mod:`repro.trace`): generate a traffic shape to JSONL (streamed, any
   size), inspect a trace's header, replay one deterministically through
@@ -112,45 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="journal completed sweep cells to this JSONL file and resume "
         "from it on re-run (resilient engine)",
-    )
-
-    bench_p = sub.add_parser(
-        "bench", help="time the BFL kernel + sweep engine, write the perf baseline"
-    )
-    bench_p.add_argument(
-        "suite",
-        nargs="?",
-        choices=(
-            "all",
-            "online",
-            "topology",
-            "kernels",
-            "serve",
-            "chaos",
-            "loadtest",
-            "buffers",
-        ),
-        default="all",
-        help="'all' (default): kernel + sweep + obs -> BENCH_PR1.json; "
-        "'online': decisions/sec + competitive ratio -> BENCH_PR4.json; "
-        "'topology': unified simulator vs frozen legacy loops -> "
-        "BENCH_PR5.json; "
-        "'kernels': python vs numpy execution backends -> BENCH_PR6.json; "
-        "'serve': loopback server load test -> BENCH_PR7.json; "
-        "'chaos': fault-injection robustness smoke -> BENCH_PR8.json; "
-        "'loadtest': trace replay against a loopback server -> "
-        "BENCH_PR9.json; "
-        "'buffers': bounded-buffer model (ca ratio, backend parity) -> "
-        "BENCH_PR10.json",
-    )
-    bench_p.add_argument("--seed", type=int, default=2024)
-    bench_p.add_argument("--trials", type=int, default=10, help="sweep cells per size")
-    bench_p.add_argument("--jobs", type=int, default=4)
-    bench_p.add_argument(
-        "--out",
-        default=None,
-        help="baseline JSON path ('-' to skip writing; default: "
-        "BENCH_PR1.json, or BENCH_PR4.json for the online suite)",
     )
 
     fig_p = sub.add_parser("figure", help="print a paper figure as ASCII art")
@@ -406,8 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.command == "obs":
         return _obs_report(args.trace)
-    if args.command == "bench":
-        return _bench(args.suite, args.seed, args.trials, args.jobs, args.out)
     if args.command == "figure":
         return _figure(args.number, args.k)
     if args.command == "demo":
@@ -529,74 +479,6 @@ def _obs_report(trace_path: str) -> int:
         print(f"cannot read trace {trace_path}: {exc}", file=sys.stderr)
         return 2
     print(render_report(trace, source=trace_path))
-    return 0
-
-
-def _bench(suite: str, seed: int, trials: int, jobs: int, out: str | None) -> int:
-    if suite == "loadtest":
-        from .trace.bench import render_loadtest_summary, run_loadtest_benchmarks
-
-        out = "BENCH_PR9.json" if out is None else out
-        payload = run_loadtest_benchmarks(seed=seed, out=None if out == "-" else out)
-        print(render_loadtest_summary(payload))
-    elif suite == "buffers":
-        from .engine.bench_buffers import (
-            render_buffers_summary,
-            run_buffers_benchmarks,
-        )
-
-        out = "BENCH_PR10.json" if out is None else out
-        payload = run_buffers_benchmarks(
-            seed=seed, trials=trials, out=None if out == "-" else out
-        )
-        print(render_buffers_summary(payload))
-    elif suite == "kernels":
-        from .engine.bench import render_backend_summary, run_backend_benchmarks
-
-        out = "BENCH_PR6.json" if out is None else out
-        payload = run_backend_benchmarks(seed=seed, out=None if out == "-" else out)
-        print(render_backend_summary(payload))
-    elif suite == "topology":
-        from .engine.bench import render_topology_summary, run_topology_benchmarks
-
-        out = "BENCH_PR5.json" if out is None else out
-        payload = run_topology_benchmarks(
-            seed=seed, out=None if out == "-" else out
-        )
-        print(render_topology_summary(payload))
-    elif suite == "online":
-        from .engine.bench import render_online_summary, run_online_benchmarks
-
-        out = "BENCH_PR4.json" if out is None else out
-        payload = run_online_benchmarks(
-            seed=seed, trials=trials, out=None if out == "-" else out
-        )
-        print(render_online_summary(payload))
-    elif suite == "serve":
-        from .engine.bench import render_serve_summary, run_serve_benchmarks
-
-        out = "BENCH_PR7.json" if out is None else out
-        payload = run_serve_benchmarks(seed=seed, out=None if out == "-" else out)
-        print(render_serve_summary(payload))
-    elif suite == "chaos":
-        from .chaos import render_smoke_summary, run_smoke
-
-        out = "BENCH_PR8.json" if out is None else out
-        payload = run_smoke(seed=seed, out=None if out == "-" else out)
-        print(render_smoke_summary(payload))
-        if out != "-":
-            print(f"baseline written to {out}")
-        return 0 if payload["ok"] else 1
-    else:
-        from .engine.bench import render_summary, run_benchmarks
-
-        out = "BENCH_PR1.json" if out is None else out
-        payload = run_benchmarks(
-            seed=seed, trials=trials, jobs=jobs, out=None if out == "-" else out
-        )
-        print(render_summary(payload))
-    if out != "-":
-        print(f"baseline written to {out}")
     return 0
 
 

@@ -17,9 +17,6 @@ exponential backoff, ``BrokenProcessPool`` respawn (re-running only the
 missing cells — exact, thanks to pre-spawned seeds) and JSONL
 checkpoint/resume, configured via :class:`ResilienceConfig` (or
 ``Engine(resilience=...)``).
-
-``repro.engine.bench`` drives both under the perf counters and writes
-the benchmark baseline consumed by ``repro bench``.
 """
 
 from .cache import (

@@ -422,9 +422,7 @@ class LinearNetworkSimulator:
             if uniform:
                 if faults is None:
                     # fault-free fast path: no per-node fault checks, the
-                    # forward inlined — this is the loop the topology bench
-                    # holds to within 5% of the pre-refactor specialized
-                    # simulators
+                    # forward inlined
                     for v, link, nxt, ctrl_next in sel_plan:
                         buf = buffers[v]
                         view = NodeView(node=v, time=t, candidates=tuple(buf))

@@ -19,8 +19,10 @@ A disabled tracer must cost nothing measurable.  Every public method's
 first statement is an ``enabled`` check; :meth:`span` returns a shared
 :data:`NULL_SPAN` singleton (no allocation), and the hot layers aggregate
 locally and emit **once per solver/simulator call**, never per inner-loop
-iteration.  ``repro bench`` measures the residual and asserts it stays
-below 2% (:func:`repro.engine.bench.bench_obs`).
+iteration.  ``tests/test_obs.py::TestDisabledPathBudget`` pins this: a
+kernel + simulator run makes the same number of obs calls at every
+message count, so the disabled path costs a fixed handful of
+``enabled`` checks per call.
 
 Concurrency
 -----------

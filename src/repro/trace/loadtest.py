@@ -21,8 +21,6 @@ containing message ``m`` the harness sleeps until ``m / rate`` seconds
 into the run (open-loop pacing — a slow server does not slow the offered
 load, it sheds).  ``rate=None`` feeds as fast as the server answers
 (closed-loop, the throughput probe).
-
-Results go into the ``repro bench loadtest`` suite as ``BENCH_PR9.json``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,10 @@ Two machine-checked invariants of the topology refactor:
   map, the ``_owner_map`` reference loop), so no hot path can come to
   depend on an eager edge map again; ``Schedule.edge_owner()`` is the
   public, on-demand view.
+* **Removed paths stay removed** — nothing imports the deleted in-package
+  bench harness (``repro.engine.bench``, ``repro.engine.bench_buffers``,
+  ``repro.trace.bench``) or its ``repro.perf`` stopwatches;
+  ``perfbench/`` is the one benchmark.
 """
 
 import ast
@@ -193,6 +197,75 @@ class TestSchedulePrivacy:
             "    return s._edge_owner, getattr(s, '_edge_owner')\n"
         )
         assert len(_schedule_private_reads(bad)) == 3
+
+
+#: Modules deleted with the in-package bench harness; never import again.
+REMOVED_MODULES = (
+    "repro.engine.bench",
+    "repro.engine.bench_buffers",
+    "repro.trace.bench",
+    "repro.perf",
+)
+
+
+def _removed_imports(path: Path, module: str | None = None) -> list[str]:
+    """Every import in ``path`` that reaches a module in REMOVED_MODULES.
+
+    ``module`` is the file's dotted name, needed to resolve relative
+    imports; files outside ``src/`` import ``repro`` absolutely.
+    """
+    if module is None and SRC in path.parents:
+        module = _module_name(path)
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and module is None:
+                continue
+            base = _resolve(module or "", node)
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            if any(
+                target == gone or target.startswith(gone + ".")
+                for gone in REMOVED_MODULES
+            ):
+                hits.append(f"{path}:{node.lineno} imports {target}")
+                break
+    return hits
+
+
+class TestRemovedPaths:
+    def test_no_file_imports_a_removed_module(self):
+        files = [
+            path
+            for top in ("src", "tests", "benchmarks", "examples", "perfbench")
+            for path in sorted((ROOT / top).rglob("*.py"))
+        ]
+        assert any(path.parent == ROOT / "benchmarks" for path in files)
+        violations = [hit for path in files for hit in _removed_imports(path)]
+        assert not violations, (
+            "these modules were deleted; perfbench/run.py is the benchmark:\n"
+            + "\n".join(violations)
+        )
+
+    def test_check_flags_every_import_form(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "import repro.perf\n"
+            "from repro import perf\n"
+            "from repro.engine import bench\n"
+            "from repro.engine.bench_buffers import bench_buffers\n"
+            "from repro.trace.bench import run_loadtest_benchmarks\n"
+            "from ..perf import best_of\n"
+            "from .bench import bench_kernel\n"
+            "from repro.engine import cache, pool\n"
+            "import repro.performance\n"
+        )
+        assert len(_removed_imports(bad)) == 5
+        assert len(_removed_imports(bad, module="repro.engine.sweep")) == 7
 
 
 DISPATCH_ROW = re.compile(

@@ -156,3 +156,10 @@ class TestParsing:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_bench_command_is_gone(self, capsys):
+        # perfbench/run.py is the benchmark; the CLI has no bench command
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

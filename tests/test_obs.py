@@ -134,6 +134,63 @@ class TestInstrumentation:
         assert tr.counters["cache.hits.memory"] == 1
 
 
+class _CountingTracer(Tracer):
+    """An enabled tracer that counts every call into the obs API."""
+
+    def __init__(self) -> None:
+        super().__init__(enabled=True)
+        self.api_calls = 0
+
+    def span(self, name, **attrs):
+        self.api_calls += 1
+        return super().span(name, **attrs)
+
+    def record_span(self, name, start, end=None, **attrs):
+        self.api_calls += 1
+        super().record_span(name, start, end, **attrs)
+
+    def count(self, name, value=1):
+        self.api_calls += 1
+        super().count(name, value)
+
+    def gauge(self, name, value):
+        self.api_calls += 1
+        super().gauge(name, value)
+
+    def event(self, name, **attrs):
+        self.api_calls += 1
+        super().event(name, **attrs)
+
+    def timer(self, name):
+        self.api_calls += 1
+        return super().timer(name)
+
+
+class TestDisabledPathBudget:
+    def test_obs_calls_do_not_scale_with_messages(self):
+        """The hot layers emit once per call, never per message.
+
+        The disabled tracer's cost is (obs calls per run) x (one
+        ``enabled`` check), so a call count that is flat in ``k`` keeps
+        that cost a vanishing share of a kernel + simulator run.
+        """
+        from repro.baselines import EDFPolicy
+        from repro.network.simulator import simulate
+
+        calls = {}
+        for k in (200, 1000, 3000):
+            inst = general_instance(
+                np.random.default_rng(7), n=64, k=k, max_release=64, max_slack=12
+            )
+            counting = _CountingTracer()
+            with obs.use(counting):
+                bfl_fast(inst)
+                simulate(inst, EDFPolicy())
+            calls[k] = counting.api_calls
+        assert len(set(calls.values())) == 1, calls
+        assert calls[200] > 0, calls
+
+
 class TestExporters:
     def test_jsonl_schema(self, tmp_path):
         tr = Tracer(enabled=True)

@@ -317,19 +317,6 @@ class TestObservability:
         assert main(["obs", "report", str(trace_path)]) == 0
 
 
-class TestBenchSmoke:
-    def test_serve_bench_runs_fast_and_meets_shape(self):
-        from repro.engine.bench import bench_serve
-
-        payload = bench_serve(
-            requests=10, warmup=2, stream_n=12, stream_k=30, stream_batch=10
-        )
-        assert payload["solve"]["requests"] == 10
-        assert payload["solve"]["requests_per_second"] > 0
-        assert payload["solve"]["p99_latency_ms"] >= payload["solve"]["p50_latency_ms"]
-        assert payload["stream"]["decisions_per_second"] > 0
-
-
 class TestWireSchema:
     def test_parse_instance_json_and_dict_roundtrip(self):
         for inst in (_line(), _ring(), _mesh()):
