@@ -13,8 +13,7 @@ Run:  python examples/mesh_dimension_order.py
 import numpy as np
 
 from repro.analysis import Table
-from repro.mesh import xy_schedule
-from repro.mesh.validate import validate_mesh_schedule
+from repro.topology.mesh import validate_mesh_schedule, xy_schedule
 from repro.workloads.meshes import transpose_mesh
 
 

@@ -14,9 +14,10 @@ Run:  python examples/multimedia_streaming.py
 import numpy as np
 
 from repro.analysis import Table
-from repro.baselines import EDFPolicy, run_policy
+from repro.baselines import EDFPolicy
 from repro.core.bfl import bfl
 from repro.core.dbfl import dbfl
+from repro.network.simulator import simulate
 from repro.workloads import multimedia_instance
 
 
@@ -45,7 +46,7 @@ def main() -> None:
     schedulers = {
         "BFL (bufferless)": bfl(inst).delivered_ids,
         "D-BFL (distributed)": dbfl(inst).delivered_ids,
-        "EDF (buffered)": run_policy(inst, EDFPolicy()).delivered_ids,
+        "EDF (buffered)": simulate(inst, EDFPolicy()).delivered_ids,
     }
 
     table = Table(["scheduler", "audio", "video", "bulk", "total"])

@@ -13,9 +13,13 @@ Run:  python examples/optical_ring.py
 import numpy as np
 
 from repro.analysis import Table
-from repro.core.ring_bfl import ring_bfl
-from repro.exact.ring import opt_ring_bufferless
-from repro.network.ring import RingInstance, RingMessage, validate_ring_schedule
+from repro.topology.ring import (
+    RingInstance,
+    RingMessage,
+    ring_bfl,
+    validate_ring_schedule,
+)
+from repro.topology.ring_exact import opt_ring_bufferless
 
 
 def main() -> None:

@@ -93,11 +93,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    if name == "schedule_bidirectional":
-        raise AttributeError(
-            "repro.schedule_bidirectional was removed after its deprecation "
-            "cycle; use repro.api.solve_bidirectional instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

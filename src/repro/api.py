@@ -385,14 +385,14 @@ def solve(
     ``lower``/``upper`` bracket the true optimum.
 
     ``backend="python"|"numpy"`` selects the execution backend for the
-    kernels underneath the call (the scan-line BFL kernel and the network
-    simulator ship vectorized twins with bit-identical results — see
-    :mod:`repro.backend`).  Omitted, the ambient backend applies
-    (``repro.use_backend(...)`` context, else the ``REPRO_BACKEND``
-    environment variable, else python).  The resolved choice is recorded
-    in ``telemetry["backend"]``; work outside the vectorized envelope
-    falls back to the python path per call, counted under the
-    ``backend.fallbacks`` observability counters.
+    kernels underneath the call (the network simulator and the online
+    policies that run through it ship a vectorized twin with
+    bit-identical results — see :mod:`repro.backend`).  Omitted, the
+    ambient backend applies (``repro.use_backend(...)`` context, else the
+    ``REPRO_BACKEND`` environment variable, else python).  The resolved
+    choice is recorded in ``telemetry["backend"]``; work outside the
+    vectorized envelope falls back to the python path per call, counted
+    under the ``backend.fallbacks`` observability counters.
     """
     topo = _topology.topology_of(instance)
     matrix = _topology.dispatch_matrix()

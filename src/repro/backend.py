@@ -1,20 +1,20 @@
 """Execution-backend dispatch: ``"python"`` (reference) vs ``"numpy"``.
 
-The library keeps two implementations of its hot kernels: the readable,
-event-driven pure-python reference (``bfl_fast``, the simulator's step
-loop) and vectorized numpy variants (``repro.core.bfl_vec``,
-``repro.network.simulator_vec``) that batch the same work into array
-operations.  The **golden-reference contract** is that the numpy backend
-is bit-identical to the python one — same schedules, trajectory for
-trajectory; same ``SimulationResult`` down to drop ordering and fault
-counters — so switching backends can never change a result, only how
-fast it arrives.
+The library keeps two implementations of its hot simulator: the
+readable pure-python step loop (:mod:`repro.network.simulator`) and a
+vectorized numpy variant (:mod:`repro.network.simulator_vec`) that
+batches the same work into array operations.  The **golden-reference
+contract** is that the numpy backend is bit-identical to the python one
+— same ``SimulationResult`` down to drop ordering and fault counters —
+so switching backends can never change a result, only how fast it
+arrives.  BFL has one fast kernel (``bfl_fast``); a numpy request for it
+falls back like any other unvectorized kernel (below).
 
 Selection is layered; first match wins:
 
 1. an explicit ``backend=`` argument (``repro.api.solve``,
-   :func:`repro.network.simulator.simulate`, ``repro.core.bfl_vec.bfl_kernel``,
-   the online entry points, ...);
+   :func:`repro.network.simulator.simulate`, the online entry points,
+   ...);
 2. an enclosing :func:`use_backend` context — ``repro.api.solve`` wraps
    every registered solver call in one, and the sweep engine
    (:class:`repro.engine.pool.Engine`) ships its ``backend`` field into
@@ -24,9 +24,9 @@ Selection is layered; first match wins:
 
 Requesting ``"numpy"`` never fails over to an error at dispatch time:
 kernels that have no vectorized form for the requested configuration
-(non-default tie-breaks, control-channel policies like D-BFL, mesh
-routing, custom ``Policy`` subclasses) **fall back automatically** to the
-pure-python reference and count the event under the
+(offline and online BFL, control-channel policies like D-BFL, mesh
+routing, custom ``Policy`` subclasses) **fall back automatically** to
+the pure-python reference and count the event under the
 ``backend.fallbacks`` observability counter.  Because the backends are
 bit-identical, the fallback is invisible except in wall time.
 """

@@ -29,7 +29,6 @@ from .buffered_greedy import (
     FCFSPolicy,
     MinLaxityPolicy,
     NearestDestPolicy,
-    run_policy,
 )
 from .lui_zaks import lui_zaks_feasible
 
@@ -42,6 +41,5 @@ __all__ = [
     "FCFSPolicy",
     "MinLaxityPolicy",
     "NearestDestPolicy",
-    "run_policy",
     "lui_zaks_feasible",
 ]

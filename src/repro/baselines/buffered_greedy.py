@@ -7,17 +7,14 @@ real-time literature uses, and serve as buffered baselines against D-BFL.
 
 from __future__ import annotations
 
-from ..core.instance import Instance
 from ..network.packet import Packet
 from ..network.policy import NodeView, Policy
-from ..network.simulator import SimulationResult, simulate
 
 __all__ = [
     "EDFPolicy",
     "MinLaxityPolicy",
     "FCFSPolicy",
     "NearestDestPolicy",
-    "run_policy",
 ]
 
 
@@ -83,18 +80,3 @@ class NearestDestPolicy(Policy):
     def eviction_key(self, packet: Packet) -> tuple:
         return (packet.dest, -packet.message.source, packet.id)
 
-
-def run_policy(
-    instance: Instance, policy: Policy, *, buffer_capacity: int | None = None
-) -> SimulationResult:
-    """Deprecated alias of :func:`repro.network.simulator.simulate`.
-
-    Prefer ``repro.api.solve(instance, "buffered", "greedy", policy=...)``
-    for the facade, or call :func:`simulate` directly.
-    """
-    from .._deprecation import warn_deprecated
-
-    warn_deprecated(
-        "repro.baselines.run_policy", "repro.network.simulator.simulate"
-    )
-    return simulate(instance, policy, buffer_capacity=buffer_capacity)

@@ -14,7 +14,6 @@ The primary public surface:
 
 from .bfl import bfl
 from .bfl_fast import bfl_fast
-from .bfl_vec import bfl_kernel, bfl_vec, bfl_vec_batch
 from .geometry import Parallelogram, Segment
 from .solve import BidirectionalSchedule
 from .instance import Instance, make_instance
@@ -40,17 +39,6 @@ __all__ = [
     "validate_schedule",
     "bfl",
     "bfl_fast",
-    "bfl_kernel",
-    "bfl_vec",
-    "bfl_vec_batch",
     "BidirectionalSchedule",
 ]
 
-
-def __getattr__(name: str):
-    if name == "schedule_bidirectional":
-        raise AttributeError(
-            "repro.core.schedule_bidirectional was removed after its "
-            "deprecation cycle; use repro.api.solve_bidirectional instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

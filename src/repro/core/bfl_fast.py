@@ -35,7 +35,7 @@ from .message import Direction
 from .schedule import Schedule
 from .trajectory import Trajectory
 
-__all__ = ["bfl_fast", "assign_lines", "kernel_columns"]
+__all__ = ["bfl_fast", "assign_lines"]
 
 
 def kernel_columns(
@@ -43,9 +43,8 @@ def kernel_columns(
 ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """The ``(src, dst, mid, amin, amax)`` columns the scan-line consumes.
 
-    Infeasible messages are dropped (and slacks optionally clipped)
-    exactly as :func:`bfl_fast` preprocesses its input, so both backends
-    start from identical columns.
+    Infeasible messages are dropped and slacks optionally clipped, as
+    :func:`repro.core.bfl.bfl` preprocesses its input.
     """
     if clip_slack:
         work = instance.drop_infeasible().clipped_slack().messages

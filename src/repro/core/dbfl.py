@@ -83,15 +83,7 @@ class DBFLPolicy(Policy):
         self._l_in[node] = int(value)  # type: ignore[arg-type]
 
 
-_UNSET = object()
-
-
-def dbfl(
-    instance: Instance,
-    *,
-    buffer_capacity=_UNSET,
-    faults=None,
-) -> SimulationResult:
+def dbfl(instance: Instance, *, faults=None) -> SimulationResult:
     """Run D-BFL on ``instance`` and return the simulation result.
 
     With unbounded buffers (the paper's setting) the delivered set equals
@@ -99,21 +91,9 @@ def dbfl(
     delivery-line (Theorem 5.2).  Bounded buffers and ``faults`` (a
     :class:`~repro.network.faults.FaultPlan`) void that guarantee.
 
-    Buffer capacity is a model dimension now: set it on the instance
+    Buffer capacity is a model dimension: set it on the instance
     (``Instance.buffer_capacity`` /
     :meth:`~repro.core.instance.Instance.with_buffer_capacity`) and the
-    simulator picks it up.  The historical ``buffer_capacity=`` kwarg
-    still works but warns :class:`~repro._deprecation.ReproDeprecationWarning`.
+    simulator picks it up.
     """
-    if buffer_capacity is _UNSET:
-        buffer_capacity = None  # defer to the instance's own capacity
-    else:
-        from .._deprecation import warn_deprecated
-
-        warn_deprecated(
-            "repro.core.dbfl.dbfl(buffer_capacity=...)",
-            "Instance.buffer_capacity (e.g. instance.with_buffer_capacity(cap))",
-        )
-    return simulate(
-        instance, DBFLPolicy(), buffer_capacity=buffer_capacity, faults=faults
-    )
+    return simulate(instance, DBFLPolicy(), faults=faults)

@@ -4,8 +4,7 @@ The paper reduces the two-directional problem to two independent
 one-directional ones (full-duplex links, dual-ported nodes: superposing
 optimal solutions of the halves is optimal for the whole).
 :class:`BidirectionalSchedule` holds the stitched result; the reduction
-itself lives in :func:`repro.api.solve_bidirectional` (the deprecated
-``schedule_bidirectional`` alias completed its removal cycle).
+itself lives in :func:`repro.api.solve_bidirectional`.
 """
 
 from __future__ import annotations
@@ -54,11 +53,3 @@ class BidirectionalSchedule:
             out.append((n - 1 - (traj.source + j), t))
         return out
 
-
-def __getattr__(name: str):
-    if name == "schedule_bidirectional":
-        raise AttributeError(
-            "repro.core.solve.schedule_bidirectional was removed after its "
-            "deprecation cycle; use repro.api.solve_bidirectional instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

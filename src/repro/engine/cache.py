@@ -100,19 +100,9 @@ class ResultCache:
 
     @staticmethod
     def key(
-        instance: Instance,
-        solver: str,
-        params: dict[str, Any] | None = None,
-        *,
-        backend: str | None = None,
+        instance: Instance, solver: str, params: dict[str, Any] | None = None
     ) -> str:
         """Cache key for ``solver`` run on ``instance`` with ``params``.
-
-        ``backend`` (when given) becomes part of the key, so results
-        produced by different execution backends never alias — even
-        though the backends are bit-identical by contract, a cross-hit
-        would silently mask a parity regression.  Backend-oblivious
-        callers keep their historical keys.
 
         Model dimensions that live *on the instance* — including
         ``buffer_capacity`` — are already part of ``content_hash``, so
@@ -121,8 +111,7 @@ class ResultCache:
         passed through ``params`` to reach the key.
         """
         spec = "" if not params else repr(sorted(params.items()))
-        base = f"{solver}:{instance.content_hash}:{spec}"
-        return base if backend is None else f"{base}:backend={backend}"
+        return f"{solver}:{instance.content_hash}:{spec}"
 
     def get(self, key: str) -> tuple[bool, Any]:
         """``(found, value)``; checks memory first, then disk."""
@@ -168,17 +157,12 @@ class ResultCache:
         solver: str,
         fn: Callable[..., Any],
         instance: Instance,
-        backend: str | None = None,
         **params: Any,
     ) -> Any:
-        """Memoized ``fn(instance, **params)`` keyed on content, not identity.
-
-        ``backend`` segregates the key per execution backend (it is not
-        forwarded to ``fn`` — bind it into ``fn`` if the callee needs it).
-        """
+        """Memoized ``fn(instance, **params)`` keyed on content, not identity."""
         if not self.enabled:
             return fn(instance, **params)
-        key = self.key(instance, solver, params, backend=backend)
+        key = self.key(instance, solver, params)
         tr = obs.tracer()
         found, value, layer = self.lookup(key)
         if found:
@@ -245,25 +229,11 @@ def cached_call(
 # ---------------------------------------------------------------------- #
 
 
-def cached_bfl(instance: Instance, *, clip_slack: bool = False, backend: str | None = None):
-    """Memoized fast-kernel BFL (paper tie-break).
+def cached_bfl(instance: Instance, *, clip_slack: bool = False):
+    """Memoized fast-kernel BFL (paper tie-break)."""
+    from ..core.bfl_fast import bfl_fast
 
-    The execution backend (explicit ``backend=`` or the ambient one) is
-    resolved *before* the lookup and baked into the cache key, so python
-    and numpy results live in separate cache slots — no cross-backend
-    hits, by design.
-    """
-    from ..backend import resolve_backend
-    from ..core.bfl_vec import bfl_kernel
-
-    resolved = resolve_backend(backend)
-
-    def run(inst: Instance, **params: Any):
-        return bfl_kernel(inst, backend=resolved, **params)
-
-    return default_cache().call(
-        "bfl", run, instance, backend=resolved, clip_slack=clip_slack
-    )
+    return cached_call("bfl", bfl_fast, instance, clip_slack=clip_slack)
 
 
 def cached_ca(instance: Instance, **params: Any):

@@ -21,18 +21,12 @@ from .bounds import (
     cut_upper_bound,
     feasible_count_bound,
 )
-from .mesh import opt_mesh_xy
-from .ring import opt_ring_bufferless
-from .ring_buffered import opt_ring_buffered
 
 __all__ = [
     "opt_bufferless",
     "opt_bufferless_bnb",
     "opt_buffered",
     "opt_buffered_bruteforce",
-    "opt_ring_bufferless",
-    "opt_ring_buffered",
-    "opt_mesh_xy",
     "bufferless_lp_bound",
     "cut_upper_bound",
     "feasible_count_bound",

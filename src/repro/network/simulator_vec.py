@@ -6,9 +6,9 @@ the python loop's five phases — arrivals, control, releases, hopeless
 drops, selection — over flat arrays instead of per-node python lists, and
 is **bit-identical** to the reference: same ``SimulationResult`` down to
 trajectory order, ``drop_events`` order, fault counters and per-node
-``peak_buffer`` aggregates.  The parity suite in
-``tests/test_backend_parity.py`` enforces this across line and ring,
-with and without a :class:`~repro.network.faults.FaultPlan`.
+``peak_buffer`` aggregates.  The parity suite
+``tests/test_backends.py::TestSimulatorParity`` enforces this across line
+and ring, with and without a :class:`~repro.network.faults.FaultPlan`.
 
 How the per-node policy ``min()`` becomes an array op
 -----------------------------------------------------
@@ -26,11 +26,10 @@ collapses into one integer priority per packet:
   between hops and recomputed only when a packet re-enters a buffer.
 
 Buffered packets live in arrays sorted by ``node * PRIOM + priority``;
-each step's selection is then just "first element of every node run" —
-the same head-extraction trick the :mod:`repro.core.bfl_vec` kernel uses
-for its per-line greedy.  A global entry-sequence number per buffered
-stint reproduces the reference's buffer *insertion* order, which fixes
-the order of same-step deadline drops.
+each step's selection is then just "first element of every node run".
+A global entry-sequence number per buffered stint reproduces the
+reference's buffer *insertion* order, which fixes the order of same-step
+deadline drops.
 
 Bounded buffers are inside the envelope: every admission policy of
 :mod:`repro.buffers` (drop-new, drop-farthest-deadline,

@@ -1,8 +1,7 @@
 """The :class:`Mesh` topology: 2-D grids under dimension-order (XY) routing.
 
-Canonical home of the mesh data model and XY scheduler (formerly
-``repro.mesh.{model,xy,validate}``).  Nodes are ``(row, col)`` on an
-``R x C`` grid with full-duplex horizontal and vertical links.  Under
+Home of the mesh data model and XY scheduler.  Nodes are ``(row, col)``
+on an ``R x C`` grid with full-duplex horizontal and vertical links.  Under
 dimension-order routing a message travels its source *row* first (to its
 destination column), turns once, then travels the destination *column*.
 Row links and column links are disjoint resources, and within one row the

@@ -1,8 +1,7 @@
 """Exact optimal dimension-order mesh scheduling (MILP reference).
 
-Canonical home of the mesh MILP (formerly ``repro.exact.mesh``); it
-registers under the ``mesh`` topology in the facade's dispatch table and
-keeps scipy unimported until actually called.
+Home of the mesh MILP; it registers under the ``mesh`` topology in the
+facade's dispatch table and keeps scipy unimported until actually called.
 
 Optimises over *all* XY-routed schedules: each delivered message picks a
 phase-1 (row) departure and a phase-2 (column) departure, bufferless

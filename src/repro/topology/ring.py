@@ -15,11 +15,9 @@ step, so two trajectories on the same helix conflict iff their
 interval scheduling on the *time* axis, which is what :func:`ring_bfl`
 exploits.
 
-This module is the canonical home of everything ring-shaped: the data
-model (formerly ``repro.network.ring``), the helix greedy (formerly
-``repro.core.ring_bfl``), the buffered trajectory shape (formerly in
-``repro.network.ring_simulator``) and the :class:`Ring` topology object
-that plugs it all into the registry.
+This module is the home of everything ring-shaped: the data model, the
+helix greedy, the buffered trajectory shape and the :class:`Ring`
+topology object that plugs it all into the registry.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Exact optimal ring scheduling (MILP references).
 
-Canonical home of the two ring MILPs (formerly ``repro.exact.ring`` and
-``repro.exact.ring_buffered``); both register under the ``ring`` topology
+Home of the two ring MILPs; both register under the ``ring`` topology
 in the facade's dispatch table.  scipy stays unimported until one of
 these is actually called.
 """

@@ -104,16 +104,17 @@ def line_bufferless_exact(instance: Any, opts: dict[str, Any]) -> RawResult:
 
 
 def line_bufferless_bfl(instance: Any, opts: dict[str, Any]) -> RawResult:
+    from ..backend import fall_back, resolve_backend
     from ..core.bfl import EDF, LONGEST_FIRST, NEAREST_DEST, bfl
-    from ..core.bfl_vec import bfl_kernel
+    from ..core.bfl_fast import bfl_fast
 
     clip_slack = _take(opts, "clip_slack", False)
     tie_break = _take(opts, "tie_break", None)
     _reject_unknown(opts, "bufferless", "bfl")
+    if resolve_backend() == "numpy":
+        fall_back("bfl")  # BFL has no vectorized form
     if tie_break is None:
-        # backend-dispatched: the ambient backend (set by api.solve)
-        # picks the scan-line kernel or its vectorized twin
-        return RawResult(bfl_kernel(instance, clip_slack=clip_slack))
+        return RawResult(bfl_fast(instance, clip_slack=clip_slack))
     # Non-default tie-breaks only exist in the readable reference.
     if isinstance(tie_break, str):
         named = {"nearest_dest": NEAREST_DEST, "edf": EDF, "longest_first": LONGEST_FIRST}

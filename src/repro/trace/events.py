@@ -11,8 +11,6 @@ inside one simulation.  It is distinct from the **workload** traces of
 :mod:`repro.trace.format` (what arrived, when — the replayable input)
 and from the observability traces of :mod:`repro.obs` (spans and
 counters about the code).  See the vocabulary table in ``docs/api.md``.
-This module moved here from ``repro.network.trace`` so the three live
-side by side; the old home remains as a deprecation shim.
 """
 
 from __future__ import annotations

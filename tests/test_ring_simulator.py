@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro._deprecation import ReproDeprecationWarning
 from repro.baselines import EDFPolicy, FCFSPolicy, MinLaxityPolicy
 from repro.network import simulate
 from repro.network.packet import Packet, PacketStatus
@@ -113,36 +112,3 @@ class TestRingSimulation:
         assert res.stats.delivered == res.throughput
         assert res.stats.delivered + res.stats.dropped == len(inst)
 
-
-class TestDeprecatedAliases:
-    """The legacy ring-simulator entrypoints still work, but warn."""
-
-    def test_simulate_ring_warns_and_matches(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEPRECATIONS", raising=False)
-        from repro.network.ring_simulator import simulate_ring
-
-        rng = np.random.default_rng(10)
-        inst = random_ring_instance(rng, n=8, k=10)
-        with pytest.warns(ReproDeprecationWarning):
-            legacy = simulate_ring(inst, EDFPolicy())
-        new = simulate(inst, EDFPolicy())
-        assert legacy.delivered_ids == new.delivered_ids
-        assert legacy.schedule.trajectories == new.schedule.trajectories
-
-    def test_ring_network_simulator_warns(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEPRECATIONS", raising=False)
-        from repro.network.ring_simulator import RingNetworkSimulator
-
-        inst = RingInstance(5, (RingMessage(0, 3, 1, 2, 10, n=5),))
-        with pytest.warns(ReproDeprecationWarning):
-            sim = RingNetworkSimulator(inst, EDFPolicy())
-        res = sim.run()
-        assert res.delivered_ids == {0}
-
-    def test_simulate_ring_raises_under_env(self):
-        # conftest sets REPRO_DEPRECATIONS=error for the whole suite
-        from repro.network.ring_simulator import simulate_ring
-
-        inst = RingInstance(5, (RingMessage(0, 3, 1, 2, 10, n=5),))
-        with pytest.raises(ReproDeprecationWarning):
-            simulate_ring(inst, EDFPolicy())

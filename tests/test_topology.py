@@ -1,13 +1,10 @@
 """Tests for the repro.topology layer: registry, dispatch, decomposition,
-golden facade/legacy parity, and ring fault attribution."""
-
-import warnings
+golden facade/direct-call parity, and ring fault attribution."""
 
 import numpy as np
 import pytest
 
 from repro import api, topology
-from repro._deprecation import ReproDeprecationWarning
 from repro.baselines import EDFPolicy
 from repro.core.bfl_fast import bfl_fast
 from repro.core.instance import Instance
@@ -27,12 +24,6 @@ from repro.topology import (
 )
 from repro.workloads.meshes import random_mesh_instance
 from repro.workloads.rings import random_ring_instance
-
-
-@pytest.fixture
-def quiet_legacy(monkeypatch):
-    """Let deprecated aliases run silently inside golden comparisons."""
-    monkeypatch.delenv("REPRO_DEPRECATIONS", raising=False)
 
 
 def _mixed_line_instance(rng, n=10, k=8):
@@ -114,50 +105,44 @@ class TestInstanceTopologyField:
 
 
 class TestGoldenRingExactParity:
-    """solve() on rings must be byte-identical to the legacy entrypoints."""
+    """solve() on rings and meshes must be byte-identical to calling the
+    topology solvers directly."""
 
     @pytest.mark.parametrize("seed_block", range(4))
-    def test_facade_matches_legacy_exact(self, seed_block, quiet_legacy):
-        from repro.exact.ring import opt_ring_bufferless
+    def test_facade_matches_legacy_exact(self, seed_block):
+        from repro.topology.ring_exact import opt_ring_bufferless
 
         for seed in range(seed_block * 25, (seed_block + 1) * 25):
             rng = np.random.default_rng(40_000 + seed)
             inst = random_ring_instance(rng, n=6, k=8, max_release=6, max_slack=4)
             via_api = api.solve(inst, "bufferless", "exact")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ReproDeprecationWarning)
-                legacy = opt_ring_bufferless(inst)
-            assert via_api.schedule == legacy.schedule, seed
-            assert via_api.optimal == legacy.optimal
+            direct = opt_ring_bufferless(inst)
+            assert via_api.schedule == direct.schedule, seed
+            assert via_api.optimal == direct.optimal
             assert via_api.topology == "ring"
 
-    def test_facade_matches_legacy_ring_bfl(self, quiet_legacy):
-        from repro.core.ring_bfl import ring_bfl
+    def test_facade_matches_legacy_ring_bfl(self):
+        from repro.topology.ring import ring_bfl
 
         for seed in range(100):
             rng = np.random.default_rng(41_000 + seed)
             inst = random_ring_instance(rng, n=8, k=12)
             via_api = api.solve(inst, "bufferless", "bfl")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ReproDeprecationWarning)
-                legacy = ring_bfl(inst)
-            assert via_api.schedule == legacy, seed
+            assert via_api.schedule == ring_bfl(inst), seed
 
-    def test_facade_matches_legacy_ring_buffered(self, quiet_legacy):
-        from repro.exact.ring_buffered import opt_ring_buffered
+    def test_facade_matches_legacy_ring_buffered(self):
+        from repro.topology.ring_exact import opt_ring_buffered
 
         for seed in range(8):
             rng = np.random.default_rng(42_000 + seed)
             inst = random_ring_instance(rng, n=5, k=6, max_release=4, max_slack=3)
             via_api = api.solve(inst, "buffered", "exact")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ReproDeprecationWarning)
-                legacy = opt_ring_buffered(inst)
-            assert via_api.schedule == legacy.schedule, seed
-            assert via_api.optimal == legacy.optimal
+            direct = opt_ring_buffered(inst)
+            assert via_api.schedule == direct.schedule, seed
+            assert via_api.optimal == direct.optimal
 
-    def test_facade_matches_legacy_mesh(self, quiet_legacy):
-        from repro.exact.mesh import opt_mesh_xy
+    def test_facade_matches_legacy_mesh(self):
+        from repro.topology.mesh_exact import opt_mesh_xy
 
         for seed in range(10):
             rng = np.random.default_rng(43_000 + seed)
@@ -165,10 +150,8 @@ class TestGoldenRingExactParity:
                 rng, rows=4, cols=4, k=8, max_release=6, max_slack=3
             )
             via_api = api.solve(inst, "bufferless", "exact")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ReproDeprecationWarning)
-                legacy = opt_mesh_xy(inst)
-            assert via_api.schedule == legacy.schedule, seed
+            direct = opt_mesh_xy(inst)
+            assert via_api.schedule == direct.schedule, seed
             assert via_api.topology == "mesh"
 
 

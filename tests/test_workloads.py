@@ -122,3 +122,25 @@ class TestMultimedia:
     def test_hotspot_validation(self):
         with pytest.raises(ValueError, match="interior"):
             hotspot_instance(rng(), n=8, hotspot=0)
+
+
+class TestSeedKwargRemoved:
+    """``seed=`` is gone; the TypeError names the ``rng=`` replacement."""
+
+    def test_workload_seed_kwarg_gone(self):
+        with pytest.raises(TypeError, match=r"rng=7"):
+            general_instance(seed=7, n=12, k=8)
+
+    def test_session_instance_seed_kwarg_gone(self):
+        with pytest.raises(TypeError, match=r"rng=7"):
+            session_instance(seed=7)
+
+    def test_seed_error_fires_before_rng_validation(self):
+        # seed= is rejected outright, even alongside a valid rng.
+        with pytest.raises(TypeError, match="no longer accepts seed="):
+            general_instance(np.random.default_rng(1), seed=1)
+
+    def test_rng_still_accepts_plain_ints(self):
+        assert general_instance(7, n=12, k=8) == general_instance(
+            np.random.default_rng(7), n=12, k=8
+        )
