@@ -9,10 +9,11 @@ load) and E13 (slack tightness) are thin wrappers over this.
 Execution goes through the sweep engine (:mod:`repro.engine`): the sweep
 decomposes into one *cell* per (value, trial) pair, each cell drawing its
 randomness from its own spawned ``SeedSequence`` child.  Cell seeds do
-not depend on execution order, so ``jobs=1`` and ``jobs=N`` produce
-identical tables; with ``jobs > 1`` the generator and scheduler callables
-must be picklable (module-level functions, not lambdas).  Any solver
-cache traffic the cells produce is reported in the table footer.
+not depend on execution order, so ``Engine(jobs=1)`` and
+``Engine(jobs=N)`` produce identical tables; with ``jobs > 1`` the
+generator and scheduler callables must be picklable (module-level
+functions, not lambdas).  Any solver cache traffic the cells produce is
+reported in the table footer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.instance import Instance
-from ..engine import Engine, run_tasks, spawn_seeds
+from ..engine import Engine, spawn_seeds
 from ..exact import cut_upper_bound
 from .tables import Table
 
@@ -63,7 +64,6 @@ def sweep(
     seed: int = 2024,
     trials: int = 10,
     relative: bool = True,
-    jobs: int | None = 1,
     engine: Engine | None = None,
 ) -> Table:
     """Run the sweep and return its table.
@@ -71,13 +71,12 @@ def sweep(
     With ``relative=True`` scheduler columns report mean *delivery ratio*
     (delivered / messages); otherwise mean absolute counts.  The
     ``upper_bound`` column always uses the same normalisation, so no
-    scheduler column may exceed it.  ``jobs`` fans the cells out over
-    worker processes (see :func:`repro.engine.run_tasks`); the result is
-    identical at any value.  An explicit ``engine`` supersedes ``jobs``
-    and may additionally carry a resilience configuration (per-task
-    timeouts, retries, pool respawn, checkpoint/resume) — recovery never
-    changes the table, because every cell re-runs from its own
-    pre-spawned seed.
+    scheduler column may exceed it.  ``engine`` (default ``Engine()``,
+    serial) fans the cells out over worker processes (see
+    :func:`repro.engine.run_tasks`); the result is identical at any
+    ``jobs``.  Its resilience configuration (per-task timeouts, retries,
+    pool respawn, checkpoint/resume) never changes the table either,
+    because every cell re-runs from its own pre-spawned seed.
     """
     if not values:
         raise ValueError("sweep needs at least one parameter value")
@@ -89,10 +88,7 @@ def sweep(
         for vi, value in enumerate(values)
         for t in range(trials)
     ]
-    if engine is not None:
-        results, cache_stats = engine.map(_cell, tasks)
-    else:
-        results, cache_stats = run_tasks(_cell, tasks, jobs=jobs)
+    results, cache_stats = (engine or Engine()).map(_cell, tasks)
 
     table = Table([parameter, "messages", "upper_bound", *schedulers])
     for vi, value in enumerate(values):

@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SECONDS",
         help="kill and retry any sweep cell running longer than this "
-        "(resilient engine; requires --jobs >= 2)",
+        "(needs 2 or more workers, from --jobs or REPRO_JOBS)",
     )
     run_p.add_argument(
         "--retries",
@@ -95,14 +95,14 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="re-run a failed sweep cell up to N extra times with "
-        "exponential backoff (resilient engine)",
+        "exponential backoff",
     )
     run_p.add_argument(
         "--checkpoint",
         metavar="PATH",
         default=None,
         help="journal completed sweep cells to this JSONL file and resume "
-        "from it on re-run (resilient engine)",
+        "from it on re-run",
     )
 
     fig_p = sub.add_parser("figure", help="print a paper figure as ASCII art")
@@ -410,12 +410,25 @@ def _run(
     checkpoint: str | None = None,
 ) -> int:
     from . import obs
-    from .engine import Engine, ResilienceConfig
+    from .engine import Engine, ResilienceConfig, resolve_jobs
     from .experiments import ALL
     from .experiments.base import RunConfig
 
     if jobs is not None and jobs < 0:
         print(f"--jobs must be >= 0 (0 = all cores), got {jobs}", file=sys.stderr)
+        return 2
+    try:
+        workers = resolve_jobs(jobs)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if task_timeout is not None and workers < 2:
+        # The serial path cannot interrupt a running cell.
+        print(
+            f"--task-timeout needs 2 or more workers, but --jobs/REPRO_JOBS "
+            f"gives {workers}",
+            file=sys.stderr,
+        )
         return 2
     resilience = None
     if task_timeout is not None or retries is not None or checkpoint is not None:
@@ -428,8 +441,6 @@ def _run(
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        if jobs is None:
-            jobs = 1  # resilience flags imply an explicit engine
     if names == ["all"]:
         names = list(ALL)
     unknown = [n for n in names if n not in ALL]
@@ -443,13 +454,11 @@ def _run(
         obs.enable()
         manifest = obs.RunManifest.collect(
             f"repro run {' '.join(names)}",
-            config={"seed": seed, "trials": trials, "jobs": jobs},
+            config={"seed": seed, "trials": trials, "jobs": workers},
             seed=seed,
         )
     cfg = RunConfig(seed=seed, trials=trials)
-    engine = (
-        Engine(jobs=jobs, resilience=resilience) if jobs is not None else None
-    )
+    engine = Engine(jobs=jobs, resilience=resilience)
     for name in names:
         mod = ALL[name]
         t0 = time.perf_counter()

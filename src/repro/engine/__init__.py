@@ -2,17 +2,16 @@
 
 Two pieces, composable but independent:
 
-* :mod:`repro.engine.pool` — seeded task decomposition and chunked
-  process-pool fan-out with deterministic result ordering (``jobs=1`` is
-  an exact serial fallback);
+* :mod:`repro.engine.pool` — seeded task decomposition and one
+  process-pool task runner with deterministic result ordering (``jobs=1``
+  is an exact serial fallback);
 * :mod:`repro.engine.cache` — content-addressed memoization of the
   NP-hard exact solvers and the BFL kernel, keyed on
   ``Instance.content_hash`` so identical instances are never solved
   twice, within or across runs (``REPRO_CACHE_DIR`` persists results on
   disk).
 
-:mod:`repro.engine.resilience` armors the pool for long sweeps:
-:func:`run_tasks_resilient` adds per-task timeouts, retry with
+:func:`run_tasks` also armors long sweeps: per-task timeouts, retry with
 exponential backoff, ``BrokenProcessPool`` respawn (re-running only the
 missing cells — exact, thanks to pre-spawned seeds) and JSONL
 checkpoint/resume, configured via :class:`ResilienceConfig` (or
@@ -30,13 +29,18 @@ from .cache import (
     configure,
     default_cache,
 )
-from .pool import Engine, resolve_jobs, run_tasks, spawn_rngs, spawn_seeds
-from .resilience import ResilienceConfig, run_tasks_resilient
+from .pool import (
+    Engine,
+    ResilienceConfig,
+    resolve_jobs,
+    run_tasks,
+    spawn_rngs,
+    spawn_seeds,
+)
 
 __all__ = [
     "Engine",
     "ResilienceConfig",
-    "run_tasks_resilient",
     "CacheStats",
     "ResultCache",
     "cached_bfl",

@@ -1,6 +1,6 @@
 """Typed exceptions for the scheduling stack.
 
-The NP-hard solvers and the resilient sweep engine distinguish three ways
+The NP-hard solvers and the sweep engine distinguish three ways
 a call can stop short of a proven answer:
 
 * :class:`BudgetExceeded` — a node/wall-time budget ran out.  Not a dead

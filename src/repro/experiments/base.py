@@ -15,8 +15,8 @@ introspecting each module's keyword defaults.  The wrapper:
 * maps :class:`RunConfig` fields onto the implementation's keywords,
   silently dropping the common fields (``seed``, ``trials``) the
   experiment doesn't take (E1 and E6 are deterministic and seedless);
-* translates an :class:`repro.engine.Engine` into the implementation's
-  ``jobs``/``chunksize`` knobs (ignored by serial experiments);
+* passes an :class:`repro.engine.Engine` to the implementations that
+  take one (serial experiments ignore it);
 * installs ``obs`` as the active tracer for the duration of the run;
 * still accepts the historical keyword style (``run(seed=1, trials=5)``)
   as overrides, so existing callers and tests keep working unchanged.
@@ -85,16 +85,8 @@ def experiment(fn: Callable[..., Any]) -> Callable[..., Any]:
             )
         kwargs.update(cfg.params)
         kwargs.update(overrides)
-        if engine is not None:
-            if "engine" in accepted:
-                kwargs.setdefault("engine", engine)
-            else:
-                # Legacy implementations expose jobs/chunksize directly;
-                # serial experiments accept neither and just ignore the engine.
-                if "jobs" in accepted:
-                    kwargs.setdefault("jobs", engine.jobs)
-                if "chunksize" in accepted and engine.chunksize is not None:
-                    kwargs.setdefault("chunksize", engine.chunksize)
+        if engine is not None and "engine" in accepted:
+            kwargs.setdefault("engine", engine)
         if obs is not None:
             from .. import obs as obs_mod
 

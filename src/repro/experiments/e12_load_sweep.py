@@ -7,7 +7,7 @@ informed policies degrade gracefully toward the cut upper bound while
 uninformed ones fall away faster.
 
 Generator and scheduler hooks are module-level functions so the sweep
-engine can ship cells to worker processes (``run(jobs=N)``).
+engine can ship cells to worker processes (``run(engine=Engine(jobs=N))``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ..analysis.tables import Table
 from ..baselines import EDFPolicy, MinLaxityPolicy, first_fit
 from ..network.simulator import simulate
 from ..core.dbfl import dbfl
-from ..engine import cached_bfl
+from ..engine import Engine, cached_bfl
 from ..workloads import saturated_instance
 
 from .base import experiment
@@ -62,7 +62,7 @@ SCHEDULERS = {
 }
 
 
-def _run(*, seed: int = 2024, trials: int = 8, jobs: int | None = 1, engine=None) -> Table:
+def _run(*, seed: int = 2024, trials: int = 8, engine: Engine | None = None) -> Table:
     return sweep(
         "load",
         LOADS,
@@ -70,7 +70,6 @@ def _run(*, seed: int = 2024, trials: int = 8, jobs: int | None = 1, engine=None
         SCHEDULERS,
         seed=seed,
         trials=trials,
-        jobs=jobs,
         engine=engine,
     )
 

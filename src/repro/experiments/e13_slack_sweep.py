@@ -6,7 +6,7 @@ contention costs a message; a handful of slack steps recovers most of the
 loss — quantifying how much deadline looseness buys on a line.
 
 Generator and scheduler hooks are module-level functions so the sweep
-engine can ship cells to worker processes (``run(jobs=N)``).
+engine can ship cells to worker processes (``run(engine=Engine(jobs=N))``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from ..analysis.tables import Table
 from ..baselines import EDFPolicy
 from ..network.simulator import simulate
 from ..core.dbfl import dbfl
-from ..engine import cached_bfl
+from ..engine import Engine, cached_bfl
 from ..workloads import general_instance
 
 from .base import experiment
@@ -51,7 +51,7 @@ SCHEDULERS = {
 }
 
 
-def _run(*, seed: int = 2024, trials: int = 8, jobs: int | None = 1, engine=None) -> Table:
+def _run(*, seed: int = 2024, trials: int = 8, engine: Engine | None = None) -> Table:
     return sweep(
         "max_slack",
         SLACKS,
@@ -59,7 +59,6 @@ def _run(*, seed: int = 2024, trials: int = 8, jobs: int | None = 1, engine=None
         SCHEDULERS,
         seed=seed,
         trials=trials,
-        jobs=jobs,
         engine=engine,
     )
 

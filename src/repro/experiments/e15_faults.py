@@ -15,7 +15,7 @@ bite; the degradation curve past that isolates the stochastic losses.
 Cell functions are module-level so the sweep engine can ship them to
 worker processes; each cell's instance *and* fault plan derive from its
 own spawned seed, so tables are identical at any job count and under any
-resilient-engine recovery.
+engine recovery (retry, respawn, resume).
 
 ``topology="ring"`` runs the same protocol on ring workloads through the
 unified simulator (fault plans draw links/nodes from the ring's own
@@ -38,7 +38,7 @@ import numpy as np
 from ..analysis.tables import Table
 from ..baselines import EDFPolicy, MinLaxityPolicy
 from ..core.dbfl import dbfl
-from ..engine import Engine, run_tasks, spawn_seeds
+from ..engine import Engine, spawn_seeds
 from ..network import random_fault_plan, simulate
 from ..workloads import saturated_instance
 from ..workloads.rings import random_ring_instance
@@ -131,7 +131,6 @@ def _run(
     *,
     seed: int = 2024,
     trials: int = 8,
-    jobs: int | None = 1,
     engine: Engine | None = None,
     topology: str = "line",
     trace: object = None,
@@ -161,10 +160,7 @@ def _run(
             for ri, rate in enumerate(DROP_RATES)
             for t in range(trials)
         ]
-    if engine is not None:
-        results, cache_stats = engine.map(cell, tasks)
-    else:
-        results, cache_stats = run_tasks(cell, tasks, jobs=jobs)
+    results, cache_stats = (engine or Engine()).map(cell, tasks)
 
     def _means(cells: list[dict[str, float]]) -> dict[str, float]:
         return {

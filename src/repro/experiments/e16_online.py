@@ -18,7 +18,7 @@ distributed rule — buffering lets it recover some of that — while
 Cell functions are module-level so the sweep engine can ship them to
 worker processes; each cell's instance derives from its own spawned
 seed, so tables are identical at any job count and under any
-resilient-engine recovery.
+engine recovery (retry, respawn, resume).
 
 ``topology="ring"`` runs the ring's registered online method (buffered
 per-link greedy) against the exact bufferless ring optimum on random
@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import Table
-from ..engine import Engine, run_tasks, spawn_seeds
+from ..engine import Engine, spawn_seeds
 
 from ._traced import draw_instance, normalize_trace, trace_label
 from .base import experiment
@@ -138,7 +138,6 @@ def _run(
     *,
     seed: int = 2024,
     trials: int = 6,
-    jobs: int | None = 1,
     engine: Engine | None = None,
     topology: str = "line",
     trace: object = None,
@@ -167,10 +166,7 @@ def _run(
             for si, source in enumerate(sources)
             for t in range(trials)
         ]
-    if engine is not None:
-        results, cache_stats = engine.map(cell, tasks)
-    else:
-        results, cache_stats = run_tasks(cell, tasks, jobs=jobs)
+    results, cache_stats = (engine or Engine()).map(cell, tasks)
 
     def _means(cells: list[dict[str, float]]) -> dict[str, float]:
         return {

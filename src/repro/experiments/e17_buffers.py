@@ -26,7 +26,7 @@ import numpy as np
 
 from ..analysis.tables import Table
 from ..core.dbfl import dbfl
-from ..engine import cached_ca, cached_opt_buffered, run_tasks, spawn_seeds
+from ..engine import Engine, cached_ca, cached_opt_buffered, spawn_seeds
 from ..workloads import general_instance
 
 from .base import experiment
@@ -53,14 +53,14 @@ def _trial(
     return tuple(rows)
 
 
-def _run(*, seed: int = 2024, trials: int = 12, jobs: int | None = 1) -> Table:
+def _run(*, seed: int = 2024, trials: int = 12, engine: Engine | None = None) -> Table:
     seeds = spawn_seeds(seed, len(SIZES) * trials)
     tasks = [
         (seeds[si * trials + t], n, k)
         for si, (n, k) in enumerate(SIZES)
         for t in range(trials)
     ]
-    cells, cache_stats = run_tasks(_trial, tasks, jobs=jobs)
+    cells, cache_stats = (engine or Engine()).map(_trial, tasks)
 
     table = Table(
         ["n", "capacity", "trials", "ca", "dbfl_sim", "opt_b", "min_ratio", "mean_ratio"]

@@ -5,10 +5,10 @@ Sweeps random general instances across sizes and records the empirical
 below 1/2; the sweep reports how close to 1 it typically sits.
 
 This is the sweep engine's flagship consumer: every (size, trial) cell is
-an independent seeded task (``run(jobs=N)`` fans them out over worker
-processes), and both the BFL kernel and the NP-hard ``OPT_BL`` MILP go
-through the content-addressed solver cache, whose hit/miss traffic lands
-in the table footer.
+an independent seeded task (``run(engine=Engine(jobs=N))`` fans them out
+over worker processes), and both the BFL kernel and the NP-hard
+``OPT_BL`` MILP go through the content-addressed solver cache, whose
+hit/miss traffic lands in the table footer.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import Table
-from ..engine import cached_bfl, cached_opt_bufferless, run_tasks, spawn_seeds
+from ..engine import Engine, cached_bfl, cached_opt_bufferless, spawn_seeds
 from ..workloads import general_instance
 
 from .base import experiment
@@ -37,14 +37,14 @@ def _trial(seed_seq: np.random.SeedSequence, n: int, k: int) -> float:
     return approx / exact if exact else 1.0
 
 
-def _run(*, seed: int = 2024, trials: int = 40, jobs: int | None = 1) -> Table:
+def _run(*, seed: int = 2024, trials: int = 40, engine: Engine | None = None) -> Table:
     seeds = spawn_seeds(seed, len(SIZES) * trials)
     tasks = [
         (seeds[si * trials + t], n, k)
         for si, (n, k) in enumerate(SIZES)
         for t in range(trials)
     ]
-    ratios, cache_stats = run_tasks(_trial, tasks, jobs=jobs)
+    ratios, cache_stats = (engine or Engine()).map(_trial, tasks)
 
     table = Table(["n", "messages", "trials", "min_ratio", "mean_ratio", "bound_ok"])
     for si, (n, k) in enumerate(SIZES):

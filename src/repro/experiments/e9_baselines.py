@@ -5,9 +5,9 @@ multimedia) and reports mean throughput.  The shape to expect: BFL/D-BFL
 and buffered EDF lead under contention; random assignment trails; on light
 load everyone delivers everything.
 
-Each (family, trial) pair is one seeded engine cell, so ``run(jobs=N)``
-spreads the nine-scheduler workload over worker processes without
-changing any number in the table.
+Each (family, trial) pair is one seeded engine cell, so
+``run(engine=Engine(jobs=N))`` spreads the nine-scheduler workload over
+worker processes without changing any number in the table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..baselines import (
     random_assignment,
 )
 from ..core.dbfl import dbfl
-from ..engine import cached_bfl, run_tasks, spawn_seeds
+from ..engine import Engine, cached_bfl, spawn_seeds
 from ..network.simulator import simulate
 from ..exact import cut_upper_bound
 from ..workloads import (
@@ -103,7 +103,7 @@ def _family_trial(seed_seq: np.random.SeedSequence, family: str) -> dict[str, fl
     }
 
 
-def _run(*, seed: int = 2024, trials: int = 10, jobs: int | None = 1) -> Table:
+def _run(*, seed: int = 2024, trials: int = 10, engine: Engine | None = None) -> Table:
     names = list(FAMILIES)
     seeds = spawn_seeds(seed, len(names) * trials)
     tasks = [
@@ -111,7 +111,7 @@ def _run(*, seed: int = 2024, trials: int = 10, jobs: int | None = 1) -> Table:
         for fi, family in enumerate(names)
         for t in range(trials)
     ]
-    results, cache_stats = run_tasks(_family_trial, tasks, jobs=jobs)
+    results, cache_stats = (engine or Engine()).map(_family_trial, tasks)
 
     table = Table(["family", "messages", "upper_bound", *SCHEDULERS])
     for fi, family in enumerate(names):

@@ -262,7 +262,9 @@ def xy_schedule(
     Messages that lose either phase are dropped (a phase-1 winner that
     loses phase 2 has consumed row capacity for nothing — the price of the
     greedy phase split; E14 measures how much that costs against upper
-    bounds).
+    bounds).  For the same reason throughput is not monotone in
+    ``conversion_delay``: a later turn can clear a column edge that a
+    free turn would have taken from another message.
 
     Parameters
     ----------

@@ -194,6 +194,7 @@ REMOVED_MODULES = (
     "repro.network.ring",
     "repro.network.ring_simulator",
     "repro.network.trace",
+    "repro.engine.resilience",
 )
 
 

@@ -381,12 +381,6 @@ class TestPoolBackend:
         results, _ = Engine(jobs=1, backend="numpy").map(_report_backend, [()] * 2)
         assert results == ["numpy"] * 2
 
-    def test_resilient_runner_pinned(self):
-        from repro.engine.resilience import run_tasks_resilient
-
-        results, _ = run_tasks_resilient(_report_backend, [()] * 2, jobs=1, backend="numpy")
-        assert results == ["numpy"] * 2
-
 
 # --------------------------------------------------------------------- #
 # Bench smoke: tiny scale always; the 10x claim behind REPRO_BENCH_FULL

@@ -35,6 +35,12 @@ class TestRun:
         out = capsys.readouterr().out
         assert "| 2 " in out  # the trials column reflects the override
 
+    def test_task_timeout_needs_two_workers(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert main(["run", "e2", "--trials", "1", "--task-timeout", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "--task-timeout" in err and "--jobs/REPRO_JOBS" in err
+
 
 class TestTrace:
     @pytest.fixture(autouse=True)
@@ -57,6 +63,20 @@ class TestTrace:
         assert "span" in types and "counter" in types
         names = {l["name"] for l in lines if l["type"] == "span"}
         assert "experiment.e2" in names
+
+    def test_run_honours_repro_jobs(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        path = tmp_path / "t.jsonl"
+        assert main(["run", "e2", "--trials", "1", "--trace", str(path)]) == 0
+        capsys.readouterr()
+        spans = [
+            rec
+            for rec in map(json.loads, path.read_text().splitlines())
+            if rec["type"] == "span" and rec["name"] == "engine.run_tasks"
+        ]
+        assert spans and all(rec["attrs"]["jobs"] == 2 for rec in spans)
 
     def test_obs_report_summarizes(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -11,6 +11,7 @@ from repro.core.instance import Instance
 from repro.core.message import Message
 from repro.engine import (
     CacheStats,
+    Engine,
     ResultCache,
     cached_bfl,
     resolve_jobs,
@@ -179,20 +180,20 @@ class TestEngineExperiments:
     def test_e12_identical_across_job_counts(self):
         from repro.experiments import e12_load_sweep
 
-        serial = e12_load_sweep.run(seed=7, trials=2, jobs=1)
-        parallel = e12_load_sweep.run(seed=7, trials=2, jobs=4)
+        serial = e12_load_sweep.run(seed=7, trials=2, engine=Engine(jobs=1))
+        parallel = e12_load_sweep.run(seed=7, trials=2, engine=Engine(jobs=4))
         assert parallel.rows == serial.rows
 
     def test_e2_identical_across_job_counts(self):
         from repro.experiments import e2_bfl_ratio
 
-        serial = e2_bfl_ratio.run(seed=7, trials=2, jobs=1)
-        parallel = e2_bfl_ratio.run(seed=7, trials=2, jobs=4)
+        serial = e2_bfl_ratio.run(seed=7, trials=2, engine=Engine(jobs=1))
+        parallel = e2_bfl_ratio.run(seed=7, trials=2, engine=Engine(jobs=4))
         assert parallel.rows == serial.rows
 
     def test_footnote_reports_cache_traffic(self):
         from repro.experiments import e2_bfl_ratio
 
-        table = e2_bfl_ratio.run(seed=7, trials=2, jobs=1)
+        table = e2_bfl_ratio.run(seed=7, trials=2, engine=Engine(jobs=1))
         rendered = table.render()
         assert "solver cache:" in rendered

@@ -1,10 +1,9 @@
 """Every script in ``examples/`` runs clean against the current package.
 
-Each example runs in its own interpreter with ``PYTHONPATH=src`` and
-``-W error::DeprecationWarning``, so an example that calls a removed or
-deprecated name fails here.  ``hardness_demo.py`` takes about 15 s, so it
-is only imported (run under a non-``__main__`` name): its main guard
-skips the demo, but every import still resolves.
+Each example runs in its own interpreter with ``PYTHONPATH=src``, so an
+example that calls a removed name fails here.  ``hardness_demo.py`` takes
+about 15 s, so it is only imported (run under a non-``__main__`` name):
+its main guard skips the demo, but every import still resolves.
 """
 
 import os
@@ -38,7 +37,7 @@ def test_example_runs(path):
     else:
         target = [str(path)]
     proc = subprocess.run(
-        [sys.executable, "-W", "error::DeprecationWarning", *target],
+        [sys.executable, *target],
         cwd=ROOT,
         env=env,
         capture_output=True,

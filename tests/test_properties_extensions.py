@@ -7,7 +7,7 @@ from repro.topology.ring import ring_bfl
 from repro.io import instance_from_dict, instance_to_dict, schedule_from_dict, schedule_to_dict
 from repro.core.bfl import bfl
 from repro.topology.mesh import MeshInstance, MeshMessage, xy_schedule
-from repro.topology.mesh import mesh_schedule_problems
+from repro.topology.mesh import _feasible, mesh_schedule_problems
 from repro.topology.ring import RingInstance, RingMessage, validate_ring_schedule
 
 from .conftest import lr_instances
@@ -88,11 +88,27 @@ class TestMeshProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(mesh_instances())
-    def test_conversion_delay_monotone(self, inst: MeshInstance):
-        """More conversion cost never delivers more messages."""
-        free = xy_schedule(inst, conversion_delay=0).throughput
-        costly = xy_schedule(inst, conversion_delay=3).throughput
-        assert costly <= free
+    def test_costly_turns_deliver_only_free_turn_feasible(self, inst: MeshInstance):
+        """Conversion cost only shrinks the set of messages that can make it."""
+        delivered = xy_schedule(inst, conversion_delay=3).delivered_ids
+        assert delivered <= {m.id for m in _feasible(inst, 0)}
+
+    def test_conversion_delay_not_monotone(self):
+        """Throughput can rise with the delay: at delay 0 the column leg of
+        message 3 takes edge 1->0 of column 2 at t=7, which message 0 needs
+        in the same step; any delay moves it clear."""
+        inst = MeshInstance(
+            4,
+            5,
+            (
+                MeshMessage(0, (2, 2), (0, 2), 6, 8),
+                MeshMessage(1, (0, 0), (1, 0), 0, 1),
+                MeshMessage(2, (0, 0), (1, 0), 0, 1),
+                MeshMessage(3, (1, 0), (0, 2), 5, 11),
+            ),
+        )
+        assert xy_schedule(inst, conversion_delay=0).throughput == 2
+        assert xy_schedule(inst, conversion_delay=1).throughput == 3
 
     @settings(max_examples=50, deadline=None)
     @given(mesh_instances())
