@@ -10,7 +10,9 @@ a budgeted solve either *proves* its result or *says how far it got*.
 
 The MILP solvers map the budget onto HiGHS options (``time_limit``,
 ``node_limit``); the pure-Python branch-and-bound polls a
-:class:`BudgetMeter` inside its search loop.
+:class:`BudgetMeter` inside its search loop.  ``opt_bufferless`` does
+both: its certificate search polls the wall clock, and the MILP it falls
+back to gets the remaining wall time plus the node limit.
 """
 
 from __future__ import annotations

@@ -251,10 +251,15 @@ def cached_ca(instance: Instance, **params: Any):
 
 
 def cached_opt_bufferless(instance: Instance, **params: Any):
-    """Memoized exact ``OPT_BL`` (MILP) — the expensive ground-truth column."""
+    """Memoized exact ``OPT_BL`` — the expensive ground-truth column.
+
+    The key is versioned: a schedule certified against the cut bound may
+    differ from the one HiGHS returns, so entries that older code stored
+    under the unversioned name are never read back.
+    """
     from ..exact import opt_bufferless
 
-    return cached_call("opt_bufferless", opt_bufferless, instance, **params)
+    return cached_call("opt_bufferless.v2", opt_bufferless, instance, **params)
 
 
 def cached_opt_buffered(instance: Instance, **params: Any):

@@ -5,8 +5,10 @@ these solvers are for *small* instances only.  They provide the ground truth
 that the approximation-ratio experiments (E2-E6) and the NP-hardness
 reduction checks (E8) compare against.
 
-* :func:`opt_bufferless` / :func:`opt_buffered` — time-indexed 0/1 MILPs
-  solved with SciPy's bundled HiGHS.
+* :func:`opt_bufferless` — proves BFL or a bounded branch-and-bound
+  schedule optimal against :func:`cut_upper_bound` when it can, and
+  solves a 0/1 assignment MILP with SciPy's bundled HiGHS otherwise.
+* :func:`opt_buffered` — a time-indexed 0/1 MILP solved with HiGHS.
 * :func:`opt_bufferless_bnb` — a dependency-free branch-and-bound used to
   cross-check the MILP path in tests.
 * :func:`repro.exact.buffered.opt_buffered_bruteforce` — subset enumeration

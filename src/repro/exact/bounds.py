@@ -15,7 +15,6 @@ the optimum from above instead:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from ..core.instance import Instance
@@ -92,40 +91,14 @@ def _edf_pack(windows: list[tuple[int, int]]) -> int:
 
 def bufferless_lp_bound(instance: Instance) -> float:
     """LP relaxation of the bufferless assignment MILP (upper-bounds OPT_BL)."""
+    from .bufferless import _assignment_matrix  # imports this module
+
     work = instance.drop_infeasible().clipped_slack()
     msgs = list(work)
     if not msgs:
         return 0.0
-    var_msg: list[int] = []
-    var_alpha: list[int] = []
-    for i, m in enumerate(msgs):
-        for alpha in range(m.alpha_min, m.alpha_max + 1):
-            var_msg.append(i)
-            var_alpha.append(alpha)
-    nvar = len(var_msg)
-    rows: list[int] = []
-    cols: list[int] = []
-    nrow = 0
-    for i in range(len(msgs)):
-        for j in range(nvar):
-            if var_msg[j] == i:
-                rows.append(nrow)
-                cols.append(j)
-        nrow += 1
-    by_alpha: dict[int, list[int]] = {}
-    for j in range(nvar):
-        by_alpha.setdefault(var_alpha[j], []).append(j)
-    for alpha, js in by_alpha.items():
-        lefts = sorted({msgs[var_msg[j]].source for j in js})
-        for v in lefts:
-            covering = [
-                j for j in js if msgs[var_msg[j]].source <= v < msgs[var_msg[j]].dest
-            ]
-            if len(covering) >= 2:
-                rows.extend([nrow] * len(covering))
-                cols.extend(covering)
-                nrow += 1
-    a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nrow, nvar))
+    a, _, _ = _assignment_matrix(msgs)
+    nrow, nvar = a.shape
     res = linprog(
         c=-np.ones(nvar),
         A_ub=a,

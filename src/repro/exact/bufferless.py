@@ -4,8 +4,11 @@ The bufferless problem assigns each delivered message one scan line from its
 window and requires the chosen segments on each line to be edge-disjoint.
 We solve it two independent ways:
 
-* :func:`opt_bufferless` — a 0/1 MILP (variable per message/line pair)
-  handed to SciPy's HiGHS.  Scales to a few hundred variables comfortably.
+* :func:`opt_bufferless` — proves a schedule optimal combinatorially when
+  it can: BFL, or a bounded forward-checking search, settles the optimum
+  against :func:`~repro.exact.bounds.cut_upper_bound`.  Otherwise it
+  solves a 0/1 MILP (variable per message/line pair) with SciPy's HiGHS,
+  which scales to a few hundred variables comfortably.
 * :func:`opt_bufferless_bnb` — a pure-Python branch-and-bound over messages
   ordered by window end.  No dependencies beyond the core model; used to
   cross-validate the MILP on small instances and as a fallback.
@@ -26,7 +29,8 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .. import obs
-from ..budget import SolverBudget
+from ..budget import BudgetMeter, SolverBudget
+from ..core.bfl_fast import bfl_fast
 from ..core.instance import Instance
 from ..core.message import Direction, Message
 from ..core.schedule import Schedule
@@ -35,6 +39,11 @@ from ..errors import BudgetExceeded, SolverBackendError
 from .bounds import cut_upper_bound
 
 __all__ = ["opt_bufferless", "opt_bufferless_bnb", "BufferlessResult"]
+
+#: Search nodes :func:`opt_bufferless` spends settling the optimum before it
+#: hands the instance to HiGHS.  E2 cells settle in at most a few hundred
+#: nodes, and 2,000 nodes already cost a third of a HiGHS solve (10 ms).
+CERTIFY_NODES = 2_000
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,61 @@ def _prepare(instance: Instance) -> tuple[Instance, list[Message]]:
             )
     work = instance.drop_infeasible().clipped_slack()
     return work, list(work)
+
+
+def _schedule(instance: Instance, assign: dict[int, int]) -> Schedule:
+    """The schedule sending each message id in ``assign`` on its line.
+
+    Trajectories are built against the caller's messages, so clipped
+    deadlines do not leak into the result.
+    """
+    return Schedule(
+        tuple(bufferless_trajectory(instance[mid], alpha) for mid, alpha in assign.items())
+    )
+
+
+def _assignment_matrix(
+    msgs: list[Message],
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Constraint matrix ``A`` of the assignment MILP (``A x <= 1``).
+
+    Variables ``x[m, α]`` = message ``m`` travels on scan line ``α``; they
+    are returned as parallel arrays of message index and ``α``.  Rows:
+    (a) each message uses at most one line; (b) on each line, each
+    diagonal edge carries at most one chosen segment.  Segment overlap on
+    a line is an interval property, so (b) is generated only at *segment
+    left endpoints*, which is sufficient: any two overlapping intervals
+    already overlap at the larger of their left endpoints.
+    """
+    var_msg: list[int] = []
+    var_alpha: list[int] = []
+    for i, m in enumerate(msgs):
+        for alpha in range(m.alpha_min, m.alpha_max + 1):
+            var_msg.append(i)
+            var_alpha.append(alpha)
+    nvar = len(var_msg)
+
+    # (a) one line per message: row i holds message i's variables
+    rows: list[int] = list(var_msg)
+    cols: list[int] = list(range(nvar))
+    nrow = len(msgs)
+
+    # (b) per (line, left-endpoint) edge-disjointness
+    by_alpha: dict[int, list[int]] = {}
+    for j, alpha in enumerate(var_alpha):
+        by_alpha.setdefault(alpha, []).append(j)
+    for js in by_alpha.values():
+        segments = [(msgs[var_msg[j]].source, msgs[var_msg[j]].dest, j) for j in js]
+        for v in sorted({left for left, _, _ in segments}):
+            # variables whose segment covers diagonal edge (v, v+1) on this line
+            covering = [j for left, right, j in segments if left <= v < right]
+            if len(covering) >= 2:
+                rows.extend([nrow] * len(covering))
+                cols.extend(covering)
+                nrow += 1
+
+    a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nrow, nvar))
+    return a, np.asarray(var_msg), np.asarray(var_alpha)
 
 
 def _milp_budget_options(
@@ -106,81 +170,120 @@ def opt_bufferless(
     weights: dict[int, float] | None = None,
     budget: SolverBudget | None = None,
 ) -> BufferlessResult:
-    """Maximum-throughput bufferless schedule via 0/1 MILP.
+    """Maximum-throughput bufferless schedule, proven optimal.
 
-    Variables ``x[m, α]`` = message ``m`` travels on scan line ``α``.
-    Constraints: (a) each message uses at most one line; (b) on each line,
-    each diagonal edge carries at most one chosen segment.  Segment overlap
-    on a line is an interval property, so constraint (b) is generated only
-    at *segment left endpoints*, which is sufficient: any two overlapping
-    intervals already overlap at the larger of their left endpoints.
+    An unweighted call first tries to *certify* a schedule without a MILP.
+    :func:`~repro.exact.bounds.cut_upper_bound` bounds the optimum from
+    above, so any schedule delivering that many messages is optimal:
+
+    1. BFL (:func:`~repro.core.bfl_fast.bfl_fast`), which already delivers
+       at least half the optimum (Theorem 3.2), is tried first;
+    2. otherwise a forward-checking search (:func:`_certify`) looks for a
+       schedule that meets the bound, lowering the bound by one each time
+       it proves none exists, until a schedule meets it or BFL does.  It
+       is capped at :data:`CERTIFY_NODES` nodes.
+
+    If the cap is hit, the call falls back to the assignment MILP solved
+    by HiGHS (see :func:`_assignment_matrix`).  With tracing on, each
+    unweighted call counts one of ``exact.certified`` and
+    ``exact.milp.fallbacks``.
 
     ``weights`` (message id -> positive value, default 1) switches the
     objective to maximum *weighted* throughput — e.g. pricing audio packets
-    above bulk ones.  Note the slack clip's throughput-preservation
+    above bulk ones.  The cut bound counts messages, so weighted calls go
+    straight to the MILP.  The slack clip's throughput-preservation
     argument is weight-oblivious, so it remains valid.
 
-    Returns the schedule built from the incumbent; ``optimal`` is False only
-    if HiGHS hit the time limit before proving optimality.
+    ``optimal`` is False only if HiGHS hit ``time_limit`` before proving
+    optimality; ``time_limit`` applies to the MILP alone.
 
     ``budget`` upgrades limit handling from silent degradation to a typed
-    contract: its ``wall_time``/``nodes`` map onto the HiGHS limits, and if
-    either trips before optimality is proven the call raises
-    :class:`~repro.errors.BudgetExceeded` carrying the incumbent schedule
-    and certified ``lower``/``upper`` throughput bounds.  Backend failures
-    raise :class:`~repro.errors.SolverBackendError` either way.
+    contract.  The certificate search polls its wall clock, and the MILP
+    gets what is left of it (``wall_time``) plus its ``nodes`` as the HiGHS
+    node limit.  If either trips before optimality is proven the call
+    raises :class:`~repro.errors.BudgetExceeded` carrying the incumbent
+    schedule and certified ``lower``/``upper`` throughput bounds.  Backend
+    failures raise :class:`~repro.errors.SolverBackendError` either way.
     """
     if weights is not None:
         for mid, w in weights.items():
             if w <= 0:
                 raise ValueError(f"weight of message {mid} must be positive, got {w}")
+        return _milp_bufferless(
+            instance, time_limit=time_limit, weights=weights, budget=budget
+        )
+    tr = obs.tracer()
+    t0 = time.perf_counter() if tr.enabled else 0.0
+    # A wall-clock-only meter: ``budget.nodes`` caps HiGHS, not the search.
+    meter = (
+        SolverBudget(wall_time=budget.wall_time).meter()
+        if budget is not None and budget.wall_time is not None
+        else None
+    )
+    work, msgs = _prepare(instance)
+    upper = cut_upper_bound(work)
+    incumbent = bfl_fast(instance)
+    route, nodes = "bfl", 0
+    if incumbent.throughput < upper:
+        found = _certify(
+            msgs,
+            lower=incumbent.throughput,
+            upper=upper,
+            node_limit=CERTIFY_NODES,
+            meter=meter,
+        )
+        nodes, upper = found.nodes, found.upper
+        if found.assign is not None:
+            incumbent = _schedule(instance, found.assign)
+        route = "search" if found.stop is None else "milp"
+    if tr.enabled:
+        tr.count("exact.milp.fallbacks" if route == "milp" else "exact.certified")
+        tr.record_span(
+            "exact.certify.bufferless",
+            t0,
+            route=route,
+            nodes=nodes,
+            bound=upper,
+            messages=len(msgs),
+        )
+    if route != "milp":
+        return BufferlessResult(incumbent, True)
+    if meter is not None:
+        assert budget is not None and budget.wall_time is not None
+        left = budget.wall_time - meter.spent()["wall_time"]
+        if left <= 0:  # also when the search stopped on the wall clock
+            raise BudgetExceeded(
+                f"bufferless certificate exceeded {budget.wall_time}s wall "
+                f"time after {nodes} nodes",
+                lower=incumbent.throughput,
+                upper=upper,
+                incumbent=incumbent,
+                spent=meter.spent(),
+            )
+        budget = SolverBudget(wall_time=left, nodes=budget.nodes)
+    return _milp_bufferless(instance, time_limit=time_limit, budget=budget)
+
+
+def _milp_bufferless(
+    instance: Instance,
+    *,
+    time_limit: float | None = None,
+    weights: dict[int, float] | None = None,
+    budget: SolverBudget | None = None,
+) -> BufferlessResult:
+    """Maximum (weighted) throughput via the 0/1 assignment MILP on HiGHS.
+
+    :func:`opt_bufferless` without the certificate, and the oracle that
+    tests check it against.  The ``budget`` maps onto the HiGHS limits.
+    """
     tr = obs.tracer()
     t0 = time.perf_counter() if tr.enabled else 0.0
     work, msgs = _prepare(instance)
     if not msgs:
         return BufferlessResult(Schedule(), True)
 
-    # Variable table: (message index, alpha) pairs.
-    var_msg: list[int] = []
-    var_alpha: list[int] = []
-    for i, m in enumerate(msgs):
-        for alpha in range(m.alpha_min, m.alpha_max + 1):
-            var_msg.append(i)
-            var_alpha.append(alpha)
-    nvar = len(var_msg)
-    var_msg_arr = np.asarray(var_msg)
-    var_alpha_arr = np.asarray(var_alpha)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    nrow = 0
-
-    # (a) one line per message
-    for i in range(len(msgs)):
-        (idx,) = np.nonzero(var_msg_arr == i)
-        rows.extend([nrow] * len(idx))
-        cols.extend(idx.tolist())
-        nrow += 1
-
-    # (b) per (line, left-endpoint) edge-disjointness
-    by_alpha: dict[int, list[int]] = {}
-    for j in range(nvar):
-        by_alpha.setdefault(int(var_alpha_arr[j]), []).append(j)
-    for alpha, js in by_alpha.items():
-        lefts = sorted({msgs[var_msg_arr[j]].source for j in js})
-        for v in lefts:
-            # variables whose segment covers diagonal edge (v, v+1) on `alpha`
-            covering = [
-                j for j in js if msgs[var_msg_arr[j]].source <= v < msgs[var_msg_arr[j]].dest
-            ]
-            if len(covering) >= 2:
-                rows.extend([nrow] * len(covering))
-                cols.extend(covering)
-                nrow += 1
-
-    a = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(nrow, nvar)
-    )
+    a, var_msg, var_alpha = _assignment_matrix(msgs)
+    nrow, nvar = a.shape
     constraint = LinearConstraint(a, -np.inf, np.ones(nrow))
     options: dict = _milp_budget_options(budget, time_limit)
     objective = -np.ones(nvar)
@@ -205,18 +308,10 @@ def opt_bufferless(
                 incumbent=None,
             )
         raise SolverBackendError(f"HiGHS failed on bufferless MILP: {res.message}")
-    chosen = np.nonzero(res.x > 0.5)[0]
-    trajectories = []
-    used: set[int] = set()
-    for j in chosen:
-        i = int(var_msg_arr[j])
-        if i in used:  # numerical duplicates cannot happen, but stay safe
-            continue
-        used.add(i)
-        # Build against the caller's message so clipped deadlines do not leak.
-        trajectories.append(
-            bufferless_trajectory(instance[msgs[i].id], int(var_alpha_arr[j]))
-        )
+    assign: dict[int, int] = {}
+    for j in np.nonzero(res.x > 0.5)[0]:
+        # numerical duplicates cannot happen, but stay safe
+        assign.setdefault(msgs[var_msg[j]].id, int(var_alpha[j]))
     optimal = bool(res.status == 0)
     if tr.enabled:
         tr.count("exact.milp.solves")
@@ -232,7 +327,7 @@ def opt_bufferless(
             messages=len(msgs),
             optimal=optimal,
         )
-    schedule = Schedule(tuple(trajectories))
+    schedule = _schedule(instance, assign)
     if budget is not None and not optimal:
         if weights is None:
             lower: float = schedule.throughput
@@ -249,6 +344,106 @@ def opt_bufferless(
             incumbent=schedule,
         )
     return BufferlessResult(schedule, optimal)
+
+
+class _Stop(Exception):
+    """Unwinds :func:`_certify` when it meets its target or a limit."""
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """Outcome of one :func:`_certify`."""
+
+    #: message id -> scan line of a schedule delivering ``upper`` messages,
+    #: or None when the search found none beating the caller's ``lower``
+    assign: dict[int, int] | None
+    #: proven upper bound on the optimum: the caller's, less one for every
+    #: target the search showed unreachable
+    upper: int
+    nodes: int
+    #: None when the optimum is settled, else ``"nodes"`` or ``"wall_time"``
+    stop: str | None
+
+
+def _certify(
+    msgs: list[Message],
+    *,
+    lower: int,
+    upper: int,
+    node_limit: int,
+    meter: BudgetMeter | None = None,
+) -> _Certificate:
+    """Settle the optimum, known to lie in ``[lower, upper]``, by search.
+
+    For ``target = upper, upper - 1, ...`` down to ``lower + 1`` the search
+    looks for a schedule delivering ``target`` messages; the first target
+    it meets is the optimum, and if it meets none, ``lower`` is.  The
+    search is a depth-first one with forward checking: every open message
+    keeps a bitmask of the lines still free for it, placing a message on a
+    line takes that line from the open messages whose spans overlap it,
+    and a message left with no line is as good as dropped.  A branch is
+    pruned when the messages placed plus those still placeable fall short
+    of the target.  It branches on the open message with the fewest free
+    lines (ties: order of window start), lowest line first, then drops
+    it.  Every target shares ``node_limit`` and ``meter``.
+    """
+    msgs = sorted(msgs, key=lambda m: (m.alpha_min, m.alpha_max, m.id))
+    base = min((m.alpha_min for m in msgs), default=0)
+    free = [
+        ((1 << (m.alpha_max - m.alpha_min + 1)) - 1) << (m.alpha_min - base)
+        for m in msgs
+    ]
+    overlaps = [
+        [j for j, o in enumerate(msgs) if j != i and o.source < m.dest and m.source < o.dest]
+        for i, m in enumerate(msgs)
+    ]
+    is_open = [True] * len(msgs)
+    assign: dict[int, int] = {}
+    nodes = 0
+
+    def dfs(count: int, placeable: int, target: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise _Stop("nodes")
+        if meter is not None and meter.tick() == "wall_time":
+            raise _Stop("wall_time")
+        if count >= target:
+            raise _Stop("target")
+        if count + placeable < target:
+            return
+        i = min(
+            (j for j in range(len(msgs)) if is_open[j] and free[j]),
+            key=lambda j: free[j].bit_count(),
+        )
+        m = msgs[i]
+        is_open[i] = False
+        lines = free[i]
+        while lines:
+            bit = lines & -lines
+            lines ^= bit
+            taken = [j for j in overlaps[i] if is_open[j] and free[j] & bit]
+            for j in taken:
+                free[j] ^= bit
+            emptied = sum(1 for j in taken if not free[j])
+            assign[m.id] = base + bit.bit_length() - 1
+            dfs(count + 1, placeable - 1 - emptied, target)
+            del assign[m.id]
+            for j in taken:
+                free[j] |= bit
+        dfs(count, placeable - 1, target)  # drop m
+        is_open[i] = True
+
+    target = upper
+    try:
+        while target > lower:
+            dfs(0, len(msgs), target)
+            target -= 1
+    except _Stop as exc:
+        if exc.args[0] == "target":
+            return _Certificate(dict(assign), target, nodes, None)
+        return _Certificate(None, target, nodes, exc.args[0])
+    return _Certificate(None, target, nodes, None)
 
 
 def opt_bufferless_bnb(

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro import BudgetExceeded, ReproError, SolverBackendError, SolverBudget, api
-from repro.exact import opt_buffered, opt_bufferless, opt_bufferless_bnb
+from repro.core.instance import make_instance
+from repro.exact import (
+    bufferless,
+    cut_upper_bound,
+    opt_buffered,
+    opt_bufferless,
+    opt_bufferless_bnb,
+)
 
 from .conftest import random_lr_instance
 
@@ -118,3 +125,25 @@ class TestApiDegrade:
         res = api.solve(small, method="exact")
         assert res.status == "optimal"
         assert res.lower == res.upper == res.schedule.throughput
+
+
+class TestCertificateBudget:
+    def test_certified_solve_is_optimal_under_budget(self, small):
+        res = api.solve(
+            small, method="exact", budget=SolverBudget(wall_time=60.0), on_budget="degrade"
+        )
+        assert res.status == "optimal"
+        assert res.lower == res.upper == res.schedule.throughput
+        assert res.delivered == cut_upper_bound(small)
+
+    def test_budget_spent_before_the_milp_raises_with_cut_bound(self, monkeypatch):
+        # the cut bound (3) is loose here; with no search nodes the call
+        # needs the MILP, and the budget is gone before it starts
+        monkeypatch.setattr(bufferless, "CERTIFY_NODES", 0)
+        inst = make_instance(4, [(0, 2, 0, 3), (0, 1, 1, 2), (1, 3, 1, 3)])
+        with pytest.raises(BudgetExceeded, match="wall time") as excinfo:
+            opt_bufferless(inst, budget=SolverBudget(wall_time=1e-9))
+        exc = excinfo.value
+        assert exc.lower <= 2 <= exc.upper == 3
+        assert exc.incumbent is not None
+        assert exc.incumbent.throughput == exc.lower

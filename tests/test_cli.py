@@ -87,7 +87,7 @@ class TestTrace:
         assert main(["obs", "report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "experiment.e2" in out  # per-phase timings
-        assert "exact.milp.solves" in out  # solver counters
+        assert "exact.certified" in out  # solver counters
         assert "hit rate" in out  # cache hit rate
 
     def test_obs_report_missing_file(self, capsys, tmp_path):

@@ -113,9 +113,52 @@ class TestInstrumentation:
         with obs.use(tr):
             opt_bufferless(inst)
             opt_bufferless_bnb(inst)
-        assert tr.counters["exact.milp.solves"] == 1
-        assert tr.counters["exact.milp.variables"] > 0
+        # the cut bound is tight here, so no MILP is built
+        assert tr.counters["exact.certified"] == 1
+        assert "exact.milp.fallbacks" not in tr.counters
+        assert "exact.milp.solves" not in tr.counters
         assert tr.counters["exact.bnb.nodes"] > 0
+
+    def test_loose_cut_bound_is_settled_by_search(self):
+        from repro.core.instance import make_instance
+        from repro.exact import cut_upper_bound, opt_bufferless
+
+        # Every link can fit all three messages (cut bound 3), but message 0
+        # needs links 0 and 1 at consecutive steps and each choice collides
+        # with a zero-slack message: OPT_BL is 2.
+        inst = make_instance(4, [(0, 2, 0, 3), (0, 1, 1, 2), (1, 3, 1, 3)])
+        assert cut_upper_bound(inst) == 3
+        tr = Tracer(enabled=True)
+        with obs.use(tr):
+            assert opt_bufferless(inst).throughput == 2
+        assert tr.counters["exact.certified"] == 1
+        assert "exact.milp.solves" not in tr.counters
+        (span,) = [s for s in tr.spans if s.name == "exact.certify.bufferless"]
+        assert span.attrs["route"] == "search" and span.attrs["bound"] == 2
+
+    def test_search_cap_falls_back_to_milp(self, monkeypatch):
+        from repro.core.instance import make_instance
+        from repro.exact import bufferless, opt_bufferless
+
+        monkeypatch.setattr(bufferless, "CERTIFY_NODES", 0)
+        inst = make_instance(4, [(0, 2, 0, 3), (0, 1, 1, 2), (1, 3, 1, 3)])
+        tr = Tracer(enabled=True)
+        with obs.use(tr):
+            assert opt_bufferless(inst).throughput == 2
+        assert tr.counters["exact.milp.fallbacks"] == tr.counters["exact.milp.solves"] == 1
+        assert tr.counters["exact.milp.variables"] > 0
+        assert "exact.certified" not in tr.counters
+
+    def test_weighted_solve_skips_the_certificate(self):
+        from repro.exact import opt_bufferless
+
+        tr = Tracer(enabled=True)
+        inst = general_instance(np.random.default_rng(2), n=8, k=6)
+        with obs.use(tr):
+            opt_bufferless(inst, weights={m.id: 2.0 for m in inst})
+        assert tr.counters["exact.milp.solves"] == 1
+        assert "exact.certified" not in tr.counters
+        assert "exact.milp.fallbacks" not in tr.counters
 
     def test_cache_emits_layer_hits(self):
         from repro.engine import cache as cache_mod

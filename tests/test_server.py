@@ -90,6 +90,7 @@ class TestEndpoints:
 # acceptance bar is >= 6 cells including regime="online".
 PARITY_CELLS = [
     ("line", "bufferless", "exact", {"solver": "bnb"}),
+    ("line", "bufferless", "exact", {}),
     ("line", "bufferless", "bfl", {}),
     ("line", "buffered", "bfl", {}),
     ("line", "online", "bfl", {}),
@@ -104,7 +105,11 @@ class TestSolveParity:
     @pytest.mark.parametrize(
         "topo,regime,method,opts",
         PARITY_CELLS,
-        ids=[f"{t}-{r}-{m}" for t, r, m, _ in PARITY_CELLS],
+        # the bnb cell came first and keeps the plain exact id
+        ids=[
+            f"{t}-{r}-{m}" + ("-default" if m == "exact" and not o else "")
+            for t, r, m, o in PARITY_CELLS
+        ],
     )
     def test_loopback_matches_local(self, client, topo, regime, method, opts):
         inst = {"line": _line, "ring": _ring, "mesh": _mesh}[topo]()
