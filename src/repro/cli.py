@@ -541,14 +541,14 @@ def _figure(number: int, k: int) -> int:
 
 
 def _demo(seed: int, n: int, k: int) -> int:
-    from .core.bfl import bfl
+    from .core.bfl_fast import bfl_fast
     from .core.dbfl import dbfl
     from .viz.lattice import render_schedule
     from .workloads import general_instance
 
     rng = np.random.default_rng(seed)
     inst = general_instance(rng, n=n, k=k, max_release=n // 2, max_slack=4)
-    schedule = bfl(inst)
+    schedule = bfl_fast(inst)
     distributed = dbfl(inst)
     print(
         f"{len(inst)} messages on {n} nodes: BFL delivers {schedule.throughput}, "
@@ -645,7 +645,7 @@ def _solve(instance_path: str, algorithm: str, out: str | None, gantt: bool) -> 
 
     from .analysis import schedule_summary
     from .api import parse_instance
-    from .core.bfl import bfl
+    from .core.bfl_fast import bfl_fast
     from .core.dbfl import dbfl
     from .baselines import edf_bufferless
     from .exact import opt_bufferless
@@ -653,7 +653,7 @@ def _solve(instance_path: str, algorithm: str, out: str | None, gantt: bool) -> 
 
     inst = parse_instance(Path(instance_path).read_text())
     if algorithm == "bfl":
-        schedule = bfl(inst)
+        schedule = bfl_fast(inst)
     elif algorithm == "dbfl":
         schedule = dbfl(inst).schedule
     elif algorithm == "edf":

@@ -26,12 +26,12 @@ enforced property-by-property in ``tests/test_bfl_fast.py``.
 from __future__ import annotations
 
 import heapq
+import operator
 import time
 from bisect import insort
 
 from .. import obs
 from .instance import Instance
-from .message import Direction
 from .schedule import Schedule
 from .trajectory import Trajectory
 
@@ -43,25 +43,24 @@ def kernel_columns(
 ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """The ``(src, dst, mid, amin, amax)`` columns the scan-line consumes.
 
-    Infeasible messages are dropped and slacks optionally clipped, as
-    :func:`repro.core.bfl.bfl` preprocesses its input.
+    Read from the instance's message table (no ``Message`` objects) for a
+    left-to-right instance.  Infeasible messages are dropped and slacks
+    optionally clipped, as :func:`repro.core.bfl.bfl` preprocesses its
+    input: clipping to ``max_slack`` moves a window's lower end up to
+    ``alpha_max - max_slack``.
     """
+    # Feasible iff deadline - release >= span = dest - source.
+    rows = [
+        (s, d, i, d - dl, s - r)
+        for i, s, d, r, dl in zip(*instance.table)
+        if dl - r >= d - s
+    ]
+    if not rows:
+        return [], [], [], [], []
+    src, dst, mid, amin, amax = map(list, zip(*rows))
     if clip_slack:
-        work = instance.drop_infeasible().clipped_slack().messages
-    else:
-        work = [m for m in instance.messages if m.feasible]
-    k = len(work)
-    src = [0] * k
-    dst = [0] * k
-    mid = [0] * k
-    amin = [0] * k
-    amax = [0] * k
-    for j, m in enumerate(work):
-        src[j] = m.source
-        dst[j] = m.dest
-        mid[j] = m.id
-        amin[j] = m.alpha_min
-        amax[j] = m.alpha_max
+        max_slack = len(rows) - 1
+        amin = [max(lo, hi - max_slack) for lo, hi in zip(amin, amax)]
     return src, dst, mid, amin, amax
 
 
@@ -158,11 +157,12 @@ def bfl_fast(instance: Instance, *, clip_slack: bool = False) -> Schedule:
     supports only the default nearest-destination rule and returns the
     same schedule, trajectory for trajectory.
     """
-    for m in instance:
-        if m.direction != Direction.LEFT_TO_RIGHT:
-            raise ValueError(
-                f"message {m.id} travels right-to-left; split directions first"
-            )
+    table = instance.table
+    if any(map(operator.gt, table.source, table.dest)):
+        j = next(j for j, (s, d) in enumerate(zip(table.source, table.dest)) if s > d)
+        raise ValueError(
+            f"message {table.id[j]} travels right-to-left; split directions first"
+        )
     tr = obs.tracer()
     t0 = time.perf_counter() if tr.enabled else 0.0
     src, dst, mid, amin, amax = kernel_columns(instance, clip_slack=clip_slack)
@@ -184,9 +184,9 @@ def bfl_fast(instance: Instance, *, clip_slack: bool = False) -> Schedule:
                 f"scan line {alpha} outside message {mid[j]}'s window "
                 f"[{amin[j]}, {amax[j]}]"
             )
-        t0 = src[j] - alpha
+        depart = src[j] - alpha
         trajectories.append(
-            Trajectory(mid[j], src[j], tuple(range(t0, t0 + dst[j] - src[j])))
+            Trajectory(mid[j], src[j], tuple(range(depart, depart + dst[j] - src[j])))
         )
 
     if tr.enabled:

@@ -1,11 +1,22 @@
 """Problem instances: sets of time-constrained messages on one linear network.
 
-An :class:`Instance` bundles the network size ``n`` with a tuple of
-:class:`~repro.core.message.Message` objects.  The paper observes that with
-full-duplex links and dual-ported nodes, the left-to-right and right-to-left
-traffic never contend, so :meth:`Instance.split_directions` decomposes an
-instance into two one-directional sub-instances whose optimal schedules
-simply superpose.
+An :class:`Instance` bundles the network size ``n`` with its messages.  The
+paper observes that with full-duplex links and dual-ported nodes, the
+left-to-right and right-to-left traffic never contend, so
+:meth:`Instance.split_directions` decomposes an instance into two
+one-directional sub-instances whose optimal schedules simply superpose.
+
+The messages have two forms.  :attr:`Instance.table` is a
+:class:`MessageTable`: five int columns (id, source, dest, release,
+deadline) in message order, which is all the scan-line kernel, ``len()``
+and :meth:`Instance.as_arrays` read.  ``Instance.messages`` is the tuple of
+:class:`~repro.core.message.Message` objects the readable algorithms walk.
+An instance built from objects derives its table on first use;
+:meth:`Instance.from_table` (the wire parser's constructor) validates the
+columns in bulk and builds the objects only when ``messages`` is first
+read.  A table that fails a bulk check is re-validated message by message,
+so the caller gets the same ``ValueError`` as for the object-built
+instance.
 
 Instances are immutable; all transformations return new objects.
 """
@@ -13,14 +24,75 @@ Instances are immutable; all transformations return new objects.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .message import Direction, Message
 
-__all__ = ["Instance", "make_instance"]
+__all__ = ["Instance", "MessageTable", "make_instance"]
+
+
+class MessageTable(NamedTuple):
+    """An instance's messages as five int columns, in message order."""
+
+    id: tuple[int, ...]
+    source: tuple[int, ...]
+    dest: tuple[int, ...]
+    release: tuple[int, ...]
+    deadline: tuple[int, ...]
+
+    @classmethod
+    def of(cls, messages: Sequence[Message]) -> "MessageTable":
+        if not messages:
+            return cls((), (), (), (), ())
+        return cls(
+            *zip(*[(m.id, m.source, m.dest, m.release, m.deadline) for m in messages])
+        )
+
+    def to_messages(self) -> tuple[Message, ...]:
+        """The rows as :class:`Message` objects (each runs its validator)."""
+        return tuple(map(Message, *self))
+
+    def valid_on_line(self, n: int) -> bool:
+        """Whether every row passes :class:`Message`'s and a line
+        :class:`Instance`'s checks on ``n`` nodes: unique ids, endpoints
+        in ``0..n-1`` and distinct, ``0 <= release <= deadline``."""
+        ids, src, dst, rel, dl = self
+        if not ids:
+            return True
+        return (
+            len(set(ids)) == len(ids)
+            and 0 <= min(src)
+            and max(src) < n
+            and 0 <= min(dst)
+            and max(dst) < n
+            and 0 <= min(rel)
+            and not any(map(operator.eq, src, dst))
+            and not any(map(operator.lt, dl, rel))
+        )
+
+
+class _MessagesOnDemand:
+    """``Instance.messages`` of a table-built instance, built on first read.
+
+    A non-data descriptor: attribute lookup tries the instance dict first,
+    so once ``messages`` is stored there (by ``__init__``, or by the first
+    read here) this is never called again.  A ``__getattr__`` hook would do
+    the same, but would slow every attribute read of every instance.
+    """
+
+    def __get__(self, inst: Any, owner: type | None = None) -> Any:
+        if inst is None:
+            return ()  # the dataclass field's default
+        table = inst.__dict__.get("_table")
+        if table is None:
+            raise AttributeError("messages")
+        messages = table.to_messages()
+        inst.__dict__["messages"] = messages
+        return messages
 
 
 @dataclass(frozen=True)
@@ -54,7 +126,7 @@ class Instance:
     """
 
     n: int
-    messages: tuple[Message, ...] = field(default_factory=tuple)
+    messages: tuple[Message, ...] = _MessagesOnDemand()  # type: ignore[assignment]
     topology: str = "line"
     buffer_capacity: int | None = None
 
@@ -82,11 +154,58 @@ class Instance:
             topology_pkg.get_topology(self.topology).validate_instance(self)
 
     # ------------------------------------------------------------------ #
+    # The message table (columns first, objects on demand)
+    # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_table(
+        cls, n: int, table: MessageTable, *, buffer_capacity: int | None = None
+    ) -> "Instance":
+        """A line instance over ``table``'s int columns.
+
+        The columns are validated in bulk; ``messages`` is built the first
+        time it is read.  A table that fails a bulk check goes through the
+        object-built constructor instead, which raises the same
+        ``ValueError`` it would for those messages.
+        """
+        capacity_ok = buffer_capacity is None or (
+            type(buffer_capacity) is int and buffer_capacity >= 0
+        )
+        if not (n >= 2 and capacity_ok and table.valid_on_line(n)):
+            return cls(n, table.to_messages(), buffer_capacity=buffer_capacity)
+        inst = object.__new__(cls)
+        state = inst.__dict__
+        state["n"] = n
+        state["topology"] = "line"
+        state["buffer_capacity"] = buffer_capacity
+        state["_table"] = table
+        return inst
+
+    @property
+    def table(self) -> MessageTable:
+        """The messages as int columns (derived once for object-built
+        instances)."""
+        table = self.__dict__.get("_table")
+        if table is None:
+            table = MessageTable.of(self.messages)
+            object.__setattr__(self, "_table", table)
+        return table
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The table is derived from the messages once they exist; pickle
+        # one form only, so object-built instances pickle as they always did.
+        state = self.__dict__
+        if "messages" in state and "_table" in state:
+            state = {k: v for k, v in state.items() if k != "_table"}
+        return state
+
+    # ------------------------------------------------------------------ #
     # Container protocol
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self.messages)
+        messages = self.__dict__.get("messages")
+        return len(messages) if messages is not None else len(self.table.id)
 
     def __iter__(self) -> Iterator[Message]:
         return iter(self.messages)
@@ -319,23 +438,15 @@ class Instance:
         statistics code consume (no per-message Python attribute access in
         hot loops).
         """
-        if not self.messages:
+        table = self.table
+        if not table.id:
             empty = np.empty(0, dtype=np.int64)
             return {
                 k: empty.copy()
                 for k in ("id", "source", "dest", "release", "deadline", "span", "slack")
             }
-        arr = np.array(
-            [(m.id, m.source, m.dest, m.release, m.deadline) for m in self.messages],
-            dtype=np.int64,
-        )
-        out = {
-            "id": arr[:, 0],
-            "source": arr[:, 1],
-            "dest": arr[:, 2],
-            "release": arr[:, 3],
-            "deadline": arr[:, 4],
-        }
+        arr = np.array(table, dtype=np.int64)
+        out = dict(zip(MessageTable._fields, arr))
         out["span"] = np.abs(out["dest"] - out["source"])
         out["slack"] = out["deadline"] - out["release"] - out["span"]
         return out

@@ -17,6 +17,18 @@ bufferless trajectories alike.  ``load_*`` functions validate structure and
 re-run the model validators, so a hand-edited file cannot smuggle in an
 inconsistent object.
 
+Every integer field goes through :func:`wire_int`: JSON integers and
+integral floats such as ``7.0`` pass, while a bool, a string or a
+fractional float raises ``ValueError`` naming the message and the field,
+so a parsed document never answers a different problem from the one sent.
+
+:func:`instance_from_dict` reads the rows straight into the five int
+columns of a :class:`~repro.core.instance.MessageTable` and validates them
+in bulk (:meth:`~repro.core.instance.Instance.from_table`); no ``Message``
+object is built until someone reads ``Instance.messages``.  A document
+that fails a bulk check is parsed again by the per-message loop, so the
+caller gets the same ``ValueError``, with the same text, either way.
+
 The dict-level functions here are the *line* documents; ring and mesh
 instances carry a ``"topology"`` discriminator and are handled by their
 topology's ``instance_to_dict`` / ``instance_from_dict``.
@@ -28,15 +40,21 @@ of any topology load transparently.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from numbers import Integral
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
-from .core.instance import Instance
+from .core.instance import Instance, MessageTable
 from .core.message import Message
 from .core.schedule import Schedule
 from .core.trajectory import Trajectory
 
 __all__ = [
+    "wire_int",
+    "wire_message_row",
+    "plain_message_rows",
     "instance_to_dict",
     "instance_from_dict",
     "save_instance",
@@ -50,6 +68,23 @@ __all__ = [
 _INSTANCE_FORMAT = "repro-instance"
 _SCHEDULE_FORMAT = "repro-schedule"
 _VERSION = 1
+_row_values = itemgetter("id", "source", "dest", "release", "deadline")
+
+
+def wire_int(value: Any, field: str, owner: str) -> int:
+    """One integer field of a wire document, checked.
+
+    Accepts integers and integral floats (``7.0``); a bool, a string, a
+    fractional float or anything else raises ``ValueError`` naming
+    ``owner`` (say ``"message 3"``) and ``field``.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{owner}: field {field!r} must be an integer, got {value!r}")
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
@@ -76,24 +111,70 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
 
 
 def instance_from_dict(data: dict[str, Any]) -> Instance:
+    """Parse a line instance document into a table-backed :class:`Instance`.
+
+    Falls back to the per-message loop whenever a field is not a plain
+    int or a row is missing or malformed, so errors are the loop's own.
+    """
     _check_header(data, _INSTANCE_FORMAT)
+    values = plain_message_rows(data.get("messages"))
+    n = data.get("n")
+    cap = data.get("buffer_capacity")
+    if values is not None and type(n) is int and (cap is None or type(cap) is int):
+        table = MessageTable(*zip(*values)) if values else MessageTable.of(())
+        return Instance.from_table(n, table, buffer_capacity=cap)
+    return _instance_from_rows(data)
+
+
+def plain_message_rows(rows: Any) -> list[tuple[int, int, int, int, int]] | None:
+    """``(id, source, dest, release, deadline)`` of every row, checked in bulk.
+
+    ``None`` unless ``rows`` is a list of objects whose five fields are all
+    plain ints; the caller then reads the rows one by one with
+    :func:`wire_message_row`, which raises the error that fits.
+    """
+    if type(rows) is not list:
+        return None
+    try:
+        values = list(map(_row_values, rows))
+    except (KeyError, TypeError):  # a missing key, or a row that is no object
+        return None
+    if set(map(type, chain.from_iterable(values))) <= {int}:
+        return values
+    return None
+
+
+def _instance_from_rows(data: dict[str, Any]) -> Instance:
+    """The per-message reference parse: one checked ``Message`` per row."""
     try:
         messages = tuple(
-            Message(
-                id=int(row["id"]),
-                source=int(row["source"]),
-                dest=int(row["dest"]),
-                release=int(row["release"]),
-                deadline=int(row["deadline"]),
-            )
-            for row in data["messages"]
+            Message(*wire_message_row(row, f"message at row {i}"))
+            for i, row in enumerate(data["messages"])
         )
+        n = wire_int(data["n"], "n", "instance")
         cap = data.get("buffer_capacity")
-        return Instance(
-            int(data["n"]), messages, buffer_capacity=None if cap is None else int(cap)
-        )
+        if cap is not None:
+            cap = wire_int(cap, "buffer_capacity", "instance")
+        return Instance(n, messages, buffer_capacity=cap)
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in instance data") from exc
+
+
+def wire_message_row(row: dict[str, Any], where: str) -> tuple[int, int, int, int, int]:
+    """``(id, source, dest, release, deadline)`` of one message row, each
+    through :func:`wire_int`; ``where`` names the row until its id is known.
+
+    A missing key raises ``KeyError`` for the caller to report.
+    """
+    mid = wire_int(row["id"], "id", where)
+    owner = f"message {mid}"
+    return (
+        mid,
+        wire_int(row["source"], "source", owner),
+        wire_int(row["dest"], "dest", owner),
+        wire_int(row["release"], "release", owner),
+        wire_int(row["deadline"], "deadline", owner),
+    )
 
 
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
@@ -114,17 +195,27 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
     _check_header(data, _SCHEDULE_FORMAT)
     try:
-        trajectories = tuple(
-            Trajectory(
-                message_id=int(row["message_id"]),
-                source=int(row["source"]),
-                crossings=tuple(map(int, row["crossings"])),
-            )
+        # One flat row per trajectory: message_id, source, *crossings.
+        rows = [
+            (row["message_id"], row["source"], *row["crossings"])
             for row in data["trajectories"]
-        )
+        ]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in schedule data") from exc
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows = [_checked_trajectory_row(i, row) for i, row in enumerate(rows)]
+    trajectories = tuple(Trajectory(row[0], row[1], row[2:]) for row in rows)
     return Schedule(trajectories)  # re-validates edge-disjointness
+
+
+def _checked_trajectory_row(index: int, row: tuple[Any, ...]) -> tuple[int, ...]:
+    mid = wire_int(row[0], "message_id", f"trajectory at row {index}")
+    owner = f"trajectory for message {mid}"
+    return (
+        mid,
+        wire_int(row[1], "source", owner),
+        *(wire_int(t, "crossings", owner) for t in row[2:]),
+    )
 
 
 def save_instance(instance: Any, path: str | Path) -> None:

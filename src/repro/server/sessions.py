@@ -48,6 +48,7 @@ from .. import obs
 from ..core.instance import Instance
 from ..core.message import Message
 from ..errors import ConfigError, ServerOverloaded
+from ..io import plain_message_rows, wire_int, wire_message_row
 from ..online import ONLINE_POLICIES, StreamResult, start_online
 from ..online import run_online  # noqa: F401  (perfbench/launcher.py wraps this name)
 from ..online.stream import Decision
@@ -61,24 +62,24 @@ _log = logging.getLogger(__name__)
 STREAM_TOPOLOGIES = ("line", "ring")
 
 
-def _parse_message(row: Any, *, topology: str, n: int) -> Any:
-    if not isinstance(row, dict):
-        raise ValueError(f"each arrival must be a JSON object, got {row!r}")
-    try:
-        fields = {
-            "id": int(row["id"]),
-            "source": int(row["source"]),
-            "dest": int(row["dest"]),
-            "release": int(row["release"]),
-            "deadline": int(row["deadline"]),
-        }
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc} in arrival") from exc
+def _parse_batch(rows: list[Any], *, topology: str, n: int) -> list[Any]:
+    values = plain_message_rows(rows)
+    if values is None:
+        values = [_checked_row(row) for row in rows]
     if topology == "ring":
         from ..topology.ring import RingMessage
 
-        return RingMessage(n=n, **fields)
-    return Message(**fields)
+        return [RingMessage(*fields, n=n) for fields in values]
+    return [Message(*fields) for fields in values]
+
+
+def _checked_row(row: Any) -> tuple[int, int, int, int, int]:
+    if not isinstance(row, dict):
+        raise ValueError(f"each arrival must be a JSON object, got {row!r}")
+    try:
+        return wire_message_row(row, "arrival")
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc} in arrival") from exc
 
 
 def _empty_instance(topology: str, n: int) -> Any:
@@ -122,7 +123,7 @@ class OnlineSession:
             raise ConfigError(
                 f"unknown online policy {policy!r}; choose one of {ONLINE_POLICIES}"
             )
-        n = int(n)
+        n = wire_int(n, "n", "stream")
         if topology == "ring" and n < 3:
             raise ValueError("a ring stream needs n >= 3")
         if topology == "line" and n < 2:
@@ -198,7 +199,7 @@ class OnlineSession:
             raise ValueError("'messages' must be a JSON array of arrivals")
         applied = len(self._batch_cursors)
         if seq is not None:
-            seq = int(seq)
+            seq = wire_int(seq, "seq", "feed")
             if seq < 0:
                 raise ValueError(f"'seq' must be >= 0, got {seq}")
             if seq < applied:
@@ -212,7 +213,7 @@ class OnlineSession:
                     f"'seq' {seq} skips ahead: stream has applied "
                     f"{applied} batch(es); feed them in order"
                 )
-        batch = [_parse_message(r, topology=self.topology, n=self.n) for r in rows]
+        batch = _parse_batch(rows, topology=self.topology, n=self.n)
         checked = self._runner.check(batch)
         if self.journal is not None:
             # WAL contract: the batch is on disk (fsynced) before any

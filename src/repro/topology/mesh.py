@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from ..core.bfl import bfl
+from ..core.bfl_fast import bfl_fast
 from ..core.instance import Instance
 from ..core.message import Message
 from ..core.schedule import Schedule
@@ -243,7 +243,7 @@ def _feasible(instance: MeshInstance, conversion_delay: int) -> list[MeshMessage
 def xy_schedule(
     instance: MeshInstance,
     *,
-    line_scheduler: LineScheduler = bfl,
+    line_scheduler: LineScheduler = bfl_fast,
     conversion_delay: int = 0,
 ) -> MeshSchedule:
     """Schedule a mesh instance with dimension-order routing.
@@ -269,9 +269,10 @@ def xy_schedule(
     Parameters
     ----------
     line_scheduler:
-        Any left-to-right line scheduler (``bfl``, a baseline, or an exact
-        solver's ``.schedule``-returning wrapper); it is invoked once per
-        non-empty (row|column, direction).
+        Any left-to-right line scheduler (``bfl_fast``, the default, which
+        matches the reference ``bfl`` schedule for schedule; a baseline; or
+        an exact solver's ``.schedule``-returning wrapper); it is invoked
+        once per non-empty (row|column, direction).
     conversion_delay:
         Extra steps a message must spend at its turning node (the cost of
         the optical-electric conversion; 0 models a free turn).
@@ -607,28 +608,34 @@ class Mesh(Topology):
         }
 
     def schedule_from_dict(self, data: dict[str, Any]) -> MeshSchedule:
-        from ..io import _check_header
+        from ..io import _check_header, wire_int
 
         _check_header(data, "repro-mesh-schedule")
 
         def leg(mid: int, doc: dict[str, Any] | None) -> Trajectory | None:
             if doc is None:
                 return None
+            owner = f"trajectory for message {mid}"
             return Trajectory(
                 message_id=mid,
-                source=int(doc["source"]),
-                crossings=tuple(int(t) for t in doc["crossings"]),
+                source=wire_int(doc["source"], "source", owner),
+                crossings=tuple(wire_int(t, "crossings", owner) for t in doc["crossings"]),
+            )
+
+        def trajectory(index: int, row: dict[str, Any]) -> MeshTrajectory:
+            mid = wire_int(row["message_id"], "message_id", f"trajectory at row {index}")
+            return MeshTrajectory(
+                message_id=mid,
+                row_leg=leg(mid, row.get("row_leg")),
+                col_leg=leg(mid, row.get("col_leg")),
+                turn_wait=wire_int(
+                    row["turn_wait"], "turn_wait", f"trajectory for message {mid}"
+                ),
             )
 
         try:
             trajectories = tuple(
-                MeshTrajectory(
-                    message_id=int(row["message_id"]),
-                    row_leg=leg(int(row["message_id"]), row.get("row_leg")),
-                    col_leg=leg(int(row["message_id"]), row.get("col_leg")),
-                    turn_wait=int(row["turn_wait"]),
-                )
-                for row in data["trajectories"]
+                trajectory(i, row) for i, row in enumerate(data["trajectories"])
             )
         except KeyError as exc:
             raise ValueError(f"missing field {exc} in mesh schedule data") from exc
@@ -658,29 +665,42 @@ class Mesh(Topology):
         return out
 
     def instance_from_dict(self, data: dict[str, Any]) -> MeshInstance:
-        from ..io import _check_header
+        from ..io import _check_header, wire_int
 
         _check_header(data, "repro-instance")
         try:
             messages = tuple(
-                MeshMessage(
-                    id=int(row["id"]),
-                    source=(int(row["source"][0]), int(row["source"][1])),
-                    dest=(int(row["dest"][0]), int(row["dest"][1])),
-                    release=int(row["release"]),
-                    deadline=int(row["deadline"]),
-                )
-                for row in data["messages"]
+                _mesh_message_from_row(i, row) for i, row in enumerate(data["messages"])
             )
             cap = data.get("buffer_capacity")
             return MeshInstance(
-                int(data["rows"]),
-                int(data["cols"]),
+                wire_int(data["rows"], "rows", "mesh instance"),
+                wire_int(data["cols"], "cols", "mesh instance"),
                 messages,
-                None if cap is None else int(cap),
+                None if cap is None else wire_int(cap, "buffer_capacity", "mesh instance"),
             )
         except KeyError as exc:
             raise ValueError(f"missing field {exc} in mesh instance data") from exc
+
+
+def _mesh_message_from_row(index: int, row: dict[str, Any]) -> MeshMessage:
+    from ..io import wire_int
+
+    mid = wire_int(row["id"], "id", f"message at row {index}")
+    owner = f"message {mid}"
+    return MeshMessage(
+        id=mid,
+        source=(
+            wire_int(row["source"][0], "source", owner),
+            wire_int(row["source"][1], "source", owner),
+        ),
+        dest=(
+            wire_int(row["dest"][0], "dest", owner),
+            wire_int(row["dest"][1], "dest", owner),
+        ),
+        release=wire_int(row["release"], "release", owner),
+        deadline=wire_int(row["deadline"], "deadline", owner),
+    )
 
 
 register_topology(Mesh())

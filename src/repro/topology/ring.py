@@ -419,34 +419,33 @@ class Ring(Topology):
         }
 
     def schedule_from_dict(self, data: dict[str, Any]) -> RingSchedule:
-        from ..io import _check_header
+        from ..io import _check_header, wire_int
 
         _check_header(data, "repro-ring-schedule")
-        n = data.get("n")
+        n = data.get("n")  # None on an empty schedule
         trajectories: list[RingTrajectory] = []
         try:
-            for row in data["trajectories"]:
+            for i, row in enumerate(data["trajectories"]):
+                mid = wire_int(row["message_id"], "message_id", f"trajectory at row {i}")
+                owner = f"trajectory for message {mid}"
+                fields = {
+                    "message_id": mid,
+                    "source": wire_int(row["source"], "source", owner),
+                    "depart": wire_int(row["depart"], "depart", owner),
+                    "span": wire_int(row["span"], "span", owner),
+                    "n": wire_int(n, "n", "ring schedule"),
+                }
                 if row.get("hop_times") is not None:
                     trajectories.append(
                         BufferedRingTrajectory(
-                            message_id=int(row["message_id"]),
-                            source=int(row["source"]),
-                            depart=int(row["depart"]),
-                            span=int(row["span"]),
-                            n=int(n),
-                            hop_times=tuple(int(t) for t in row["hop_times"]),
+                            **fields,
+                            hop_times=tuple(
+                                wire_int(t, "hop_times", owner) for t in row["hop_times"]
+                            ),
                         )
                     )
                 else:
-                    trajectories.append(
-                        RingTrajectory(
-                            message_id=int(row["message_id"]),
-                            source=int(row["source"]),
-                            depart=int(row["depart"]),
-                            span=int(row["span"]),
-                            n=int(n),
-                        )
-                    )
+                    trajectories.append(RingTrajectory(**fields))
         except KeyError as exc:
             raise ValueError(f"missing field {exc} in ring schedule data") from exc
         return RingSchedule(tuple(trajectories))  # re-validates slot-disjointness
@@ -474,26 +473,23 @@ class Ring(Topology):
         return out
 
     def instance_from_dict(self, data: dict[str, Any]) -> RingInstance:
-        from ..io import _check_header
+        from ..io import _check_header, wire_int, wire_message_row
 
         _check_header(data, "repro-instance")
         try:
-            n = int(data["n"])
+            n = wire_int(data["n"], "n", "ring instance")
             messages = tuple(
-                RingMessage(
-                    id=int(row["id"]),
-                    source=int(row["source"]),
-                    dest=int(row["dest"]),
-                    release=int(row["release"]),
-                    deadline=int(row["deadline"]),
-                    n=n,
-                )
-                for row in data["messages"]
+                RingMessage(*wire_message_row(row, f"message at row {i}"), n=n)
+                for i, row in enumerate(data["messages"])
             )
         except KeyError as exc:
             raise ValueError(f"missing field {exc} in ring instance data") from exc
         cap = data.get("buffer_capacity")
-        return RingInstance(n, messages, None if cap is None else int(cap))
+        return RingInstance(
+            n,
+            messages,
+            None if cap is None else wire_int(cap, "buffer_capacity", "ring instance"),
+        )
 
 
 register_topology(Ring())

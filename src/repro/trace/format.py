@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .. import obs
+from ..io import wire_int
 
 __all__ = [
     "TRACE_FORMAT",
@@ -53,13 +54,13 @@ TRACE_VERSION = 1
 TRACE_TOPOLOGIES = ("line", "ring", "mesh")
 
 
-def _node(value: Any) -> int | tuple[int, int]:
+def _node(value: Any, name: str, owner: str) -> int | tuple[int, int]:
     """Canonicalize a node endpoint: int for line/ring, (row, col) for mesh."""
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ValueError(f"mesh endpoint must be [row, col], got {value!r}")
-        return (int(value[0]), int(value[1]))
-    return int(value)
+        return (wire_int(value[0], name, owner), wire_int(value[1], name, owner))
+    return wire_int(value, name, owner)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,12 +90,14 @@ class TraceRecord:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TraceRecord":
         try:
+            mid = wire_int(data["id"], "id", "trace record")
+            owner = f"message {mid}"
             return cls(
-                id=int(data["id"]),
-                source=_node(data["source"]),
-                dest=_node(data["dest"]),
-                release=int(data["release"]),
-                deadline=int(data["deadline"]),
+                id=mid,
+                source=_node(data["source"], "source", owner),
+                dest=_node(data["dest"], "dest", owner),
+                release=wire_int(data["release"], "release", owner),
+                deadline=wire_int(data["deadline"], "deadline", owner),
             )
         except KeyError as exc:
             raise ValueError(f"missing field {exc} in trace record") from exc
@@ -107,10 +110,11 @@ class TraceRecord:
             return message
         if isinstance(message, dict):
             return cls.from_dict(message)
+        owner = f"message {message.id}"
         return cls(
             id=message.id,
-            source=_node(message.source),
-            dest=_node(message.dest),
+            source=_node(message.source, "source", owner),
+            dest=_node(message.dest, "dest", owner),
             release=message.release,
             deadline=message.deadline,
         )
@@ -177,9 +181,9 @@ def _parse_header(data: dict[str, Any]) -> dict[str, Any]:
         )
     n = data.get("n")
     if isinstance(n, list):
-        n = (int(n[0]), int(n[1]))
+        n = (wire_int(n[0], "n", "trace header"), wire_int(n[1], "n", "trace header"))
     elif n is not None:
-        n = int(n)
+        n = wire_int(n, "n", "trace header")
     else:
         raise ValueError("trace header needs an 'n' field")
     cap = data.get("buffer_capacity")
@@ -192,7 +196,9 @@ def _parse_header(data: dict[str, Any]) -> dict[str, Any]:
         "spec": data.get("spec"),
         "count": data.get("count"),
         "meta": dict(data.get("meta") or {}),
-        "buffer_capacity": None if cap is None else int(cap),
+        "buffer_capacity": (
+            None if cap is None else wire_int(cap, "buffer_capacity", "trace header")
+        ),
     }
 
 

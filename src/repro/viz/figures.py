@@ -17,7 +17,7 @@ from ..constructions.lower_bound import (
     lower_bound_instance,
     lower_bound_optbl_cap,
 )
-from ..core.bfl import bfl
+from ..core.bfl_fast import bfl_fast
 from ..core.instance import Instance
 from ..core.message import Message
 from ..hardness.cnf import CNF
@@ -64,7 +64,7 @@ def figure1(*, with_schedule: bool = True) -> str:
         render_instance(inst),
     ]
     if with_schedule:
-        schedule = bfl(inst)
+        schedule = bfl_fast(inst)
         parts += [
             "",
             f"Algorithm BFL schedules all {schedule.throughput} messages:",

@@ -179,6 +179,17 @@ class TestTypedErrors:
                 "POST", "/v1/solve", {"instance": {"format": "not-an-instance"}}
             )
 
+    def test_fractional_release_is_bad_request(self, client):
+        doc = topology_of(_line()).instance_to_dict(_line())
+        doc["messages"][2]["release"] += 0.5
+        mid = doc["messages"][2]["id"]
+        status, data, _ = client._request(
+            "POST", "/v1/solve", {"instance": doc, "regime": "bufferless", "method": "bfl"}
+        )
+        assert status == 400
+        assert data["error"]["type"] == "bad_request"
+        assert f"message {mid}: field 'release' must be an integer" in data["error"]["message"]
+
     def test_error_body_shape(self):
         body = error_body("config", "boom", hint="x")
         assert body == {
@@ -221,6 +232,27 @@ class TestStreams:
                 stream.feed(
                     [{"id": 2, "source": 0, "dest": 3, "release": 2, "deadline": 9}]
                 )
+
+    @pytest.mark.parametrize(
+        "field,bad", [("release", 1.9), ("deadline", 6.99), ("source", "0"), ("dest", True)]
+    )
+    def test_non_integer_arrival_is_bad_request(self, client, field, bad):
+        row = {"id": 1, "source": 0, "dest": 3, "release": 1, "deadline": 9}
+        row[field] = bad
+        with client.open_stream(n=8, policy="bfl") as stream:
+            status, data, _ = client._request(
+                "POST",
+                f"/v1/streams/{stream.stream_id}/arrivals",
+                {"messages": [row], "seq": stream.seq},
+                idempotent=True,
+            )
+        assert status == 400
+        assert data["error"]["type"] == "bad_request"
+        assert f"message 1: field {field!r} must be an integer" in data["error"]["message"]
+
+    def test_fractional_stream_size_is_bad_request(self, client):
+        with pytest.raises(ValueError, match="stream: field 'n' must be an integer"):
+            client.open_stream(n=8.5, policy="bfl")
 
     def test_abandoned_stream_is_gone(self, client):
         stream = client.open_stream(n=8, policy="bfl")
