@@ -1,11 +1,15 @@
-"""Parse benchmark — ``api.parse_instance`` on line documents.
+"""Wire benchmarks — instance and schedule documents on a line.
 
-Times the one parse entrypoint the CLI, the server and the client share,
-on a JSON dict and on JSON text, at the served size (n=32, k=200) and a
-large one (n=64, k=1000).  Each case asserts that the parsed instance
-equals the object-built one it was serialized from, so a fast parse that
-answers a different problem fails here.  ``perfbench/run.py --workload
-serve --trace 1`` reports the same layer as ``api.parse_instance.ms``.
+Times the one parse entrypoint the CLI, the server and the client share
+(``api.parse_instance``, on a JSON dict and on JSON text), and the
+schedule half of a served BFL solve: ``io.schedule_to_dict`` on the
+kernel's schedule, ``io.schedule_from_dict`` and the client's
+``ScheduleResult.from_dict``.  Sizes are the served one (n=32, k=200) and
+a large one (n=64, k=1000).  Each case asserts that what it returns
+equals the object-built instance or schedule (the readable BFL's), so a
+fast path that answers a different problem fails here.
+``perfbench/run.py --workload serve --trace 1`` reports the same layers
+as ``api.parse_instance.ms``, ``api.to_dict.ms`` and ``client.decode.ms``.
 """
 
 import json
@@ -14,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.core.bfl import bfl
+from repro.io import schedule_from_dict, schedule_to_dict
 from repro.topology import topology_of
 from repro.workloads import general_instance
 
@@ -39,3 +45,34 @@ def test_parse_instance(benchmark, n, k, form):
     parsed = benchmark(api.parse_instance, payload)
     assert parsed == inst
     assert len(parsed) == k
+
+
+def _solved(n, k):
+    """The kernel's (table-built) result and the readable BFL's
+    object-built schedule for the same instance."""
+    inst, _ = _document(n, k)
+    return api.solve(inst, "bufferless", "bfl"), bfl(inst)
+
+
+@pytest.mark.parametrize("n,k", SIZES, ids=[f"n{n}-k{k}" for n, k in SIZES])
+def test_schedule_to_dict(benchmark, n, k):
+    result, expected = _solved(n, k)
+    doc = benchmark(schedule_to_dict, result.schedule)
+    assert doc == schedule_to_dict(expected)
+
+
+@pytest.mark.parametrize("n,k", SIZES, ids=[f"n{n}-k{k}" for n, k in SIZES])
+def test_schedule_from_dict(benchmark, n, k):
+    _, expected = _solved(n, k)
+    doc = json.loads(json.dumps(schedule_to_dict(expected)))
+    parsed = benchmark(schedule_from_dict, doc)
+    assert parsed == expected
+
+
+@pytest.mark.parametrize("n,k", SIZES, ids=[f"n{n}-k{k}" for n, k in SIZES])
+def test_result_from_dict(benchmark, n, k):
+    result, expected = _solved(n, k)
+    doc = json.loads(json.dumps(result.to_dict()))
+    decoded = benchmark(api.ScheduleResult.from_dict, doc)
+    assert decoded.schedule == expected
+    assert decoded.to_dict() == doc

@@ -648,18 +648,34 @@ def _solve(instance_path: str, algorithm: str, out: str | None, gantt: bool) -> 
     from .core.bfl_fast import bfl_fast
     from .core.dbfl import dbfl
     from .baselines import edf_bufferless
+    from .errors import ReproError
     from .exact import opt_bufferless
     from .io import save_schedule
 
-    inst = parse_instance(Path(instance_path).read_text())
-    if algorithm == "bfl":
-        schedule = bfl_fast(inst)
-    elif algorithm == "dbfl":
-        schedule = dbfl(inst).schedule
-    elif algorithm == "edf":
-        schedule = edf_bufferless(inst)
-    else:
-        schedule = opt_bufferless(inst).schedule
+    try:
+        inst = parse_instance(Path(instance_path).read_text())
+        if getattr(inst, "topology", "line") == "line":
+            table = inst.table
+            for mid, source, dest in zip(table.id, table.source, table.dest):
+                if source > dest:
+                    print(
+                        f"message {mid} travels right-to-left; `repro solve` "
+                        "schedules left-to-right instances only (use "
+                        "repro.api.solve_bidirectional for both directions)",
+                        file=sys.stderr,
+                    )
+                    return 2
+        if algorithm == "bfl":
+            schedule = bfl_fast(inst)
+        elif algorithm == "dbfl":
+            schedule = dbfl(inst).schedule
+        elif algorithm == "edf":
+            schedule = edf_bufferless(inst)
+        else:
+            schedule = opt_bufferless(inst).schedule
+    except (ReproError, ValueError, OSError) as exc:
+        print(f"{instance_path}: {exc}", file=sys.stderr)
+        return 2
     summary = schedule_summary(inst, schedule)
     print(
         f"{algorithm}: delivered {summary['delivered']}/{summary['messages']} "

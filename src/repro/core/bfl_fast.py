@@ -32,8 +32,7 @@ from bisect import insort
 
 from .. import obs
 from .instance import Instance
-from .schedule import Schedule
-from .trajectory import Trajectory
+from .schedule import Schedule, TrajectoryTable
 
 __all__ = ["bfl_fast", "assign_lines"]
 
@@ -77,9 +76,8 @@ def assign_lines(
     ``assignment`` is the ordered list of ``(j, alpha)`` launch decisions
     — index into the columns plus the scan line boarded — in the exact
     order the sweep commits them (line descending, then the per-line
-    greedy's walk order).  This is the part of :func:`bfl_fast` the
-    vectorized backend replaces; both backends share the
-    schedule-construction step that follows it.
+    greedy's walk order).  :func:`bfl_fast` turns each decision into one
+    row of the schedule's trajectory table.
     """
     k = len(src)
     assignment: list[tuple[int, int]] = []
@@ -177,7 +175,7 @@ def bfl_fast(instance: Instance, *, clip_slack: bool = False) -> Schedule:
     )
     # Each launch is the straight line of its columns' message on line
     # `alpha`: departure src - alpha, one hop per step to dst.
-    trajectories = []
+    ids, sources, crossings = [], [], []
     for j, alpha in assignment:
         if not amin[j] <= alpha <= amax[j]:
             raise ValueError(
@@ -185,16 +183,16 @@ def bfl_fast(instance: Instance, *, clip_slack: bool = False) -> Schedule:
                 f"[{amin[j]}, {amax[j]}]"
             )
         depart = src[j] - alpha
-        trajectories.append(
-            Trajectory(mid[j], src[j], tuple(range(depart, depart + dst[j] - src[j])))
-        )
+        ids.append(mid[j])
+        sources.append(src[j])
+        crossings.append(tuple(range(depart, depart + dst[j] - src[j])))
 
     if tr.enabled:
         tr.count("bfl.launches")
         tr.count("bfl.lines_swept", lines_swept)
         tr.count("bfl.segments_scanned", segments_scanned)
-        tr.count("bfl.delivered", len(trajectories))
-        tr.record_span(
-            "bfl.fast", t0, n=instance.n, k=len(src), delivered=len(trajectories)
-        )
-    return Schedule(tuple(trajectories))
+        tr.count("bfl.delivered", len(ids))
+        tr.record_span("bfl.fast", t0, n=instance.n, k=len(src), delivered=len(ids))
+    return Schedule.from_table(
+        TrajectoryTable(tuple(ids), tuple(sources), tuple(crossings))
+    )

@@ -75,24 +75,31 @@ class MessageTable(NamedTuple):
         )
 
 
-class _MessagesOnDemand:
-    """``Instance.messages`` of a table-built instance, built on first read.
+class BuiltFromTable:
+    """A field of a table-built value object, built from its ``_table`` on
+    first read (``Instance.messages``, ``Schedule.trajectories``).
 
     A non-data descriptor: attribute lookup tries the instance dict first,
-    so once ``messages`` is stored there (by ``__init__``, or by the first
+    so once the field is stored there (by ``__init__``, or by the first
     read here) this is never called again.  A ``__getattr__`` hook would do
     the same, but would slow every attribute read of every instance.
     """
 
-    def __get__(self, inst: Any, owner: type | None = None) -> Any:
-        if inst is None:
+    def __init__(self, build: Callable[[Any], tuple]) -> None:
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
             return ()  # the dataclass field's default
-        table = inst.__dict__.get("_table")
+        table = obj.__dict__.get("_table")
         if table is None:
-            raise AttributeError("messages")
-        messages = table.to_messages()
-        inst.__dict__["messages"] = messages
-        return messages
+            raise AttributeError(self.name)
+        value = self.build(table)
+        obj.__dict__[self.name] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,9 @@ class Instance:
     """
 
     n: int
-    messages: tuple[Message, ...] = _MessagesOnDemand()  # type: ignore[assignment]
+    messages: tuple[Message, ...] = BuiltFromTable(  # type: ignore[assignment]
+        MessageTable.to_messages
+    )
     topology: str = "line"
     buffer_capacity: int | None = None
 

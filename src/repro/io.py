@@ -29,6 +29,14 @@ object is built until someone reads ``Instance.messages``.  A document
 that fails a bulk check is parsed again by the per-message loop, so the
 caller gets the same ``ValueError``, with the same text, either way.
 
+Schedules are columns too.  :func:`schedule_to_dict` writes the rows of
+:attr:`Schedule.table <repro.core.schedule.Schedule.table>` and
+:func:`schedule_from_dict` reads them back into a
+:class:`~repro.core.schedule.TrajectoryTable` checked by
+:meth:`~repro.core.schedule.Schedule.from_table`, so a BFL schedule goes
+from the kernel to JSON and back without a ``Trajectory`` object being
+built.  A schedule built from objects writes the same document bytes.
+
 The dict-level functions here are the *line* documents; ring and mesh
 instances carry a ``"topology"`` discriminator and are handled by their
 topology's ``instance_to_dict`` / ``instance_from_dict``.
@@ -48,8 +56,7 @@ from typing import Any
 
 from .core.instance import Instance, MessageTable
 from .core.message import Message
-from .core.schedule import Schedule
-from .core.trajectory import Trajectory
+from .core.schedule import Schedule, TrajectoryTable
 
 __all__ = [
     "wire_int",
@@ -69,6 +76,7 @@ _INSTANCE_FORMAT = "repro-instance"
 _SCHEDULE_FORMAT = "repro-schedule"
 _VERSION = 1
 _row_values = itemgetter("id", "source", "dest", "release", "deadline")
+_trajectory_values = itemgetter("message_id", "source", "crossings")
 
 
 def wire_int(value: Any, field: str, owner: str) -> int:
@@ -182,18 +190,48 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
         "format": _SCHEDULE_FORMAT,
         "version": _VERSION,
         "trajectories": [
-            {
-                "message_id": t.message_id,
-                "source": t.source,
-                "crossings": list(t.crossings),
-            }
-            for t in schedule
+            {"message_id": mid, "source": source, "crossings": list(crossings)}
+            for mid, source, crossings in zip(*schedule.table)
         ],
     }
 
 
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
+    """Parse a schedule document into a table-backed :class:`Schedule`.
+
+    Falls back to the row-by-row read whenever a field is not a plain int
+    or a row is missing or malformed, so errors are that read's own.
+    """
     _check_header(data, _SCHEDULE_FORMAT)
+    table = _plain_trajectory_table(data.get("trajectories"))
+    if table is None:
+        table = _trajectory_table_from_rows(data)
+    return Schedule.from_table(table)  # re-validates edge-disjointness
+
+
+def _plain_trajectory_table(rows: Any) -> TrajectoryTable | None:
+    """The trajectory rows as columns, checked in bulk.
+
+    ``None`` unless ``rows`` is a list of objects whose ``message_id``,
+    ``source`` and ``crossings`` are plain ints (a list of them for
+    ``crossings``).
+    """
+    if type(rows) is not list:
+        return None
+    if not rows:
+        return TrajectoryTable((), (), ())
+    try:
+        ids, sources, crossings = zip(*map(_trajectory_values, rows))
+        crossings = tuple(map(tuple, crossings))
+    except (KeyError, TypeError):  # a missing key, or a row that is no object
+        return None
+    if set(map(type, chain(ids, sources, chain.from_iterable(crossings)))) <= {int}:
+        return TrajectoryTable(ids, sources, crossings)
+    return None
+
+
+def _trajectory_table_from_rows(data: dict[str, Any]) -> TrajectoryTable:
+    """The row-by-row reference read: each field through :func:`wire_int`."""
     try:
         # One flat row per trajectory: message_id, source, *crossings.
         rows = [
@@ -202,10 +240,12 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
         ]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in schedule data") from exc
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        rows = [_checked_trajectory_row(i, row) for i, row in enumerate(rows)]
-    trajectories = tuple(Trajectory(row[0], row[1], row[2:]) for row in rows)
-    return Schedule(trajectories)  # re-validates edge-disjointness
+    rows = [_checked_trajectory_row(i, row) for i, row in enumerate(rows)]
+    return TrajectoryTable(
+        tuple(map(itemgetter(0), rows)),
+        tuple(map(itemgetter(1), rows)),
+        tuple(row[2:] for row in rows),
+    )
 
 
 def _checked_trajectory_row(index: int, row: tuple[Any, ...]) -> tuple[int, ...]:

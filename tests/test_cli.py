@@ -147,6 +147,38 @@ class TestSolve:
         assert main(["solve", str(instance_file), "--gantt"]) == 0
         assert "utilisation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algorithm", ["bfl", "dbfl", "edf", "exact"])
+    def test_right_to_left_message_is_one_line_error(self, capsys, tmp_path, algorithm):
+        from repro.core.instance import Instance
+        from repro.core.message import Message
+        from repro.io import save_instance
+
+        path = tmp_path / "both.json"
+        save_instance(
+            Instance(8, (Message(0, 0, 3, 0, 6), Message(1, 6, 2, 0, 9))), path
+        )
+        assert main(["solve", str(path), "--algorithm", algorithm]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        assert err.startswith("message 1 travels right-to-left")
+        assert "repro.api.solve_bidirectional" in err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"format": "repro-instance", "version": 1, "n": 8}', "missing field 'messages'"),
+            ("{not json", "not valid JSON"),
+        ],
+    )
+    def test_malformed_document_is_one_line_error(self, capsys, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and err.startswith(f"{path}: ") and match in err
+
 
 class TestDataset:
     def test_list(self, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pickle
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.io import (
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
+    wire_int,
 )
 from repro.topology import topology_of
 from repro.trace import WorkloadTrace
@@ -267,6 +269,87 @@ class TestBulkParseMatchesReference:
         assert "messages" not in parsed.__dict__
         assert len(parsed) == len(paper_example)
         assert parsed == paper_example
+
+
+def _reference_schedule_from_dict(data):
+    """``schedule_from_dict`` as it read documents before schedules had a
+    trajectory table: one checked ``Trajectory`` per row, then the
+    object-built ``Schedule``."""
+    if not isinstance(data, dict) or data.get("format") != "repro-schedule":
+        raise ValueError("bad header")
+    try:
+        rows = [
+            (row["message_id"], row["source"], *row["crossings"])
+            for row in data["trajectories"]
+        ]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc} in schedule data") from exc
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        checked = []
+        for i, row in enumerate(rows):
+            mid = wire_int(row[0], "message_id", f"trajectory at row {i}")
+            owner = f"trajectory for message {mid}"
+            checked.append(
+                (
+                    mid,
+                    wire_int(row[1], "source", owner),
+                    *(wire_int(t, "crossings", owner) for t in row[2:]),
+                )
+            )
+        rows = checked
+    return Schedule(tuple(Trajectory(row[0], row[1], row[2:]) for row in rows))
+
+
+_small_ints = st.integers(0, 6)
+_wire_trajectory_rows = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "message_id": st.integers(0, 5),
+            "source": _small_ints,
+            "crossings": st.one_of(
+                _small_ints.flatmap(
+                    lambda t: st.integers(1, 4).map(lambda k: list(range(t, t + k)))
+                ),
+                st.lists(_small_ints, max_size=4),
+            ),
+        }
+    ),
+    st.dictionaries(
+        st.sampled_from(["message_id", "source", "crossings"]),
+        st.one_of(_wire_values, st.lists(_wire_values, max_size=3)),
+        min_size=2,
+        max_size=3,
+    ),
+    st.sampled_from([[0, 1, [2]], 7, "row", None]),
+)
+_wire_schedule_docs = st.builds(
+    lambda rows: {"format": "repro-schedule", "version": 1, "trajectories": rows},
+    st.lists(_wire_trajectory_rows, max_size=6),
+)
+
+
+class TestBulkScheduleParseMatchesReference:
+    """The table reader accepts exactly what the per-trajectory read accepts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_wire_schedule_docs)
+    def test_arbitrary_rows(self, doc):
+        bulk = _outcome(schedule_from_dict, doc)
+        ref = _outcome(_reference_schedule_from_dict, doc)
+        if ref[0] == "error":
+            assert bulk == ref
+            return
+        assert bulk[0] == "ok", bulk
+        got, want = bulk[1], ref[1]
+        assert got == want and got.table == want.table
+        assert all(type(v) is int for v in got.table.message_id + got.table.source)
+        assert all(type(t) is int for c in got.table.crossings for t in c)
+
+    def test_bfl_document_stays_columnar(self, paper_example):
+        sched = bfl(paper_example)
+        again = schedule_from_dict(json.loads(json.dumps(schedule_to_dict(sched))))
+        assert "trajectories" not in again.__dict__
+        assert again == sched
 
 
 class TestColumnBackedInstance:

@@ -1,13 +1,20 @@
 """Unit tests for Schedule."""
 
+import dataclasses
+import json
 import pickle
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.schedule import ConflictError, Schedule
+from repro import api
+from repro.core.bfl import bfl
+from repro.core.schedule import ConflictError, Schedule, TrajectoryTable
 from repro.core.trajectory import Trajectory
+from repro.workloads import general_instance
 
 
 def straight(mid, source, depart, span):
@@ -166,9 +173,51 @@ def trajectory_sets(draw):
     return out
 
 
+@st.composite
+def table_rows(draw):
+    """Arbitrary ``(message_id, source, crossings)`` rows on a small
+    lattice: bufferless runs (often on one scan line, overlapping or only
+    touching), buffered and non-increasing crossings, empty rows and
+    repeated ids."""
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        mid = draw(st.integers(0, 9))
+        source = draw(st.integers(0, 6))
+        kind = draw(st.sampled_from(["run", "run", "run", "buffered", "any", "empty"]))
+        if kind == "run":
+            depart = draw(st.integers(0, 5))
+            crossings = tuple(range(depart, depart + draw(st.integers(1, 4))))
+        elif kind == "buffered":
+            crossings = tuple(
+                sorted(draw(st.sets(st.integers(0, 9), min_size=2, max_size=4)))
+            )
+        elif kind == "any":
+            crossings = tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)))
+        else:
+            crossings = ()
+        rows.append((mid, source, crossings))
+    if rows and draw(st.booleans()):
+        # a segment that starts where another ends, on the same scan line
+        mid, source, crossings = draw(st.sampled_from(rows))
+        if crossings:
+            end = source + len(crossings)
+            depart = crossings[0] + len(crossings)
+            rows.append((100 + len(rows), end, (depart, depart + 1)))
+    return rows
+
+
+def _valid_trajectories(rows):
+    """The rows that make a valid ``Trajectory`` (non-empty, increasing)."""
+    return [
+        Trajectory(*row)
+        for row in rows
+        if row[2] and all(a < b for a, b in zip(row[2], row[2][1:]))
+    ]
+
+
 class TestBulkCheck:
     @settings(max_examples=400, deadline=None)
-    @given(trajectory_sets())
+    @given(st.one_of(trajectory_sets(), table_rows().map(_valid_trajectories)))
     def test_accepts_and_raises_exactly_as_reference(self, trajectories):
         try:
             expected = reference_owner(trajectories)
@@ -225,3 +274,155 @@ class TestNoEagerEdgeMap:
         assert loaded == expected
         assert "_edge_owner" not in vars(loaded)
         assert loaded.edge_owner() == {(0, 5): 1, (1, 6): 1, (1, 0): 2, (2, 3): 2}
+
+
+# ---------------------------------------------------------------------- #
+# The trajectory table: Schedule.from_table against the object-built path
+# ---------------------------------------------------------------------- #
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return None, exc
+
+
+def _object_built(rows):
+    return Schedule(tuple(Trajectory(*row) for row in rows))
+
+
+def _table(rows):
+    if not rows:
+        return TrajectoryTable((), (), ())
+    ids, sources, crossings = zip(*rows)
+    return TrajectoryTable(ids, sources, crossings)
+
+
+class TestFromTable:
+    @settings(max_examples=600, deadline=None)
+    @given(table_rows())
+    def test_matches_object_built(self, rows):
+        expected, ref_exc = _outcome(lambda: _object_built(rows))
+        got, exc = _outcome(lambda: Schedule.from_table(_table(rows)))
+        if ref_exc is not None:
+            assert type(exc) is type(ref_exc)
+            assert str(exc) == str(ref_exc)
+            return
+        assert exc is None
+        if expected.bufferless:  # kept as columns until read
+            assert "trajectories" not in vars(got)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.trajectories == expected.trajectories
+        assert got.table == expected.table == _table(rows)
+
+    def test_touching_segments_are_legal(self):
+        # (0, 0..3) ends at node 3 at time 3, where (1, 3..5) departs: the
+        # same scan line, no shared edge.
+        table = TrajectoryTable((0, 1), (0, 3), ((0, 1, 2), (3, 4)))
+        s = Schedule.from_table(table)
+        assert len(s) == s.throughput == 2 and "trajectories" not in vars(s)
+
+    def test_overlap_on_one_line_raises_the_first_conflict(self):
+        table = TrajectoryTable((0, 1), (0, 2), ((0, 1, 2, 3), (2, 3, 4)))
+        with pytest.raises(ConflictError) as exc:
+            Schedule.from_table(table)
+        assert (exc.value.edge, exc.value.first, exc.value.second) == ((2, 2), 0, 1)
+
+    @pytest.mark.parametrize(
+        "crossings, match",
+        [(((0, 1), ()), "crosses no link"), (((0, 1), (3, 3)), "not strictly increasing")],
+    )
+    def test_bad_rows_raise_trajectory_errors(self, crossings, match):
+        with pytest.raises(ValueError, match=match):
+            Schedule.from_table(TrajectoryTable((0, 1), (0, 4), crossings))
+
+    def test_duplicate_id(self):
+        with pytest.raises(ValueError, match="message 3 scheduled twice"):
+            Schedule.from_table(TrajectoryTable((3, 3), (0, 4), ((0,), (0,))))
+
+    def test_mixed_schedule_is_object_backed(self):
+        table = TrajectoryTable((0, 1), (0, 1), ((0, 1), (0, 4)))
+        s = Schedule.from_table(table)
+        assert "trajectories" in vars(s) and s.total_wait == 3
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Schedule.from_table(TrajectoryTable((0, 1), (0,), ((0,), (1,))))
+
+
+@pytest.fixture
+def twins():
+    rows = [(4, 0, (2, 3, 4)), (1, 3, (5, 6)), (9, 1, (0,))]
+    return Schedule.from_table(_table(rows)), _object_built(rows)
+
+
+class TestTableBackedSchedule:
+    def test_reads_columns_only(self, twins):
+        built, twin = twins
+        assert len(built) == built.throughput == 3
+        assert built.delivered_ids == twin.delivered_ids == frozenset({1, 4, 9})
+        assert 4 in built and 5 not in built
+        assert set(vars(built)) == {"_table"}
+
+    def test_equality_and_hash(self, twins):
+        built, twin = twins
+        assert built == twin and hash(built) == hash(twin)
+        assert repr(built) == repr(twin)
+        assert built.trajectories == twin.trajectories
+        assert built.table == twin.table
+
+    def test_pickle_round_trip(self, twins):
+        built, twin = twins
+        again = pickle.loads(pickle.dumps(built))
+        assert set(vars(again)) == {"_table"}
+        assert again == twin and hash(again) == hash(twin)
+
+    def test_pickle_holds_one_form(self, twins):
+        built, twin = twins
+        built.trajectories  # build the objects
+        assert set(vars(pickle.loads(pickle.dumps(built)))) == {"trajectories"}
+        twin.table  # derive the columns
+        assert set(vars(pickle.loads(pickle.dumps(twin)))) == {"trajectories"}
+
+    def test_dataclasses_replace(self, twins):
+        built, twin = twins
+        assert dataclasses.replace(built) == twin
+        empty = dataclasses.replace(built, trajectories=())
+        assert empty == Schedule() and len(empty) == 0
+        assert "trajectories" not in vars(Schedule.from_table(built.table))
+
+    def test_parent_era_pickle_loads(self):
+        # Pickled before schedules carried a trajectory table.
+        path = Path(__file__).parent / "data" / "schedule_parent.pickle"
+        mixed, empty = pickle.loads(path.read_bytes())
+        assert mixed == Schedule(
+            (
+                Trajectory(1, 0, (5, 6)),
+                Trajectory(2, 1, (0, 3)),
+                Trajectory(7, 2, (2, 3, 4)),
+            )
+        )
+        assert mixed.table.crossings == ((5, 6), (0, 3), (2, 3, 4))
+        assert mixed.delivered_ids == frozenset({1, 2, 7}) and mixed.total_wait == 2
+        assert empty == Schedule() and len(empty) == 0
+        assert "_edge_owner" not in vars(pickle.loads(EAGER_OWNER_PICKLE))
+
+    def test_served_bfl_builds_no_trajectory(self, monkeypatch):
+        inst = general_instance(np.random.default_rng(3), n=16, k=40)
+        expected = bfl(inst)
+        built = []
+        original = Trajectory.__post_init__
+
+        def counting(self):
+            built.append(self.message_id)
+            original(self)
+
+        monkeypatch.setattr(Trajectory, "__post_init__", counting)
+        sent = api.solve(inst, "bufferless", "bfl").to_dict()
+        result = api.ScheduleResult.from_dict(json.loads(json.dumps(sent)))
+        assert result.to_dict() == sent
+        assert result.delivered == len(expected)
+        assert built == []
+        monkeypatch.undo()
+        assert result.schedule == expected
