@@ -3,12 +3,15 @@
 All are *local-control* policies in the paper's sense: each node decides
 from its own buffer only.  They are the classical per-link heuristics the
 real-time literature uses, and serve as buffered baselines against D-BFL.
+
+Each states its order once, as :meth:`~repro.network.policy.Policy.key`;
+forwarding and the bounded-buffer admission contest both follow it.
 """
 
 from __future__ import annotations
 
 from ..network.packet import Packet
-from ..network.policy import NodeView, Policy
+from ..network.policy import Policy
 
 __all__ = [
     "EDFPolicy",
@@ -21,45 +24,28 @@ __all__ = [
 class EDFPolicy(Policy):
     """Earliest deadline first — the classic hard-real-time rule."""
 
-    def select(self, view: NodeView) -> Packet | None:
-        if not view.candidates:
-            return None
-        return min(view.candidates, key=lambda p: (p.deadline, p.id))
-
-    def eviction_key(self, packet: Packet) -> tuple:
+    @staticmethod
+    def key(packet: Packet) -> tuple:
         return (packet.deadline, packet.id)
 
 
 class MinLaxityPolicy(Policy):
     """Least laxity first: forward the packet that can least afford to wait."""
 
-    def select(self, view: NodeView) -> Packet | None:
-        if not view.candidates:
-            return None
-        return min(view.candidates, key=lambda p: (p.laxity(view.time), p.deadline, p.id))
-
-    def eviction_key(self, packet: Packet) -> tuple:
-        # laxity(t) = deadline - t - hops_remaining; the -t term is shared
-        # by every contestant at one node and step, so (deadline -
-        # hops_remaining) preserves the select order without needing the
-        # clock.  hops_remaining = span - hops_done for a buffered packet.
-        hops_done = len(packet.crossings)
-        return (
-            packet.deadline - packet.message.span + hops_done,
-            packet.deadline,
-            packet.id,
-        )
+    @staticmethod
+    def key(packet: Packet) -> tuple:
+        # laxity(t) = deadline - t - (span - hops_done); the -t term is
+        # shared by every contestant at one node and step, so
+        # deadline - span + hops_done (the packet's latest departure,
+        # ``last``) gives the same order without the clock.
+        return (packet.last, packet.deadline, packet.id)
 
 
 class FCFSPolicy(Policy):
     """Oldest release first (first-come-first-served)."""
 
-    def select(self, view: NodeView) -> Packet | None:
-        if not view.candidates:
-            return None
-        return min(view.candidates, key=lambda p: (p.message.release, p.id))
-
-    def eviction_key(self, packet: Packet) -> tuple:
+    @staticmethod
+    def key(packet: Packet) -> tuple:
         return (packet.message.release, packet.id)
 
 
@@ -70,13 +56,6 @@ class NearestDestPolicy(Policy):
     propagation buys (ablation A1).
     """
 
-    def select(self, view: NodeView) -> Packet | None:
-        if not view.candidates:
-            return None
-        return min(
-            view.candidates, key=lambda p: (p.dest, -p.message.source, p.id)
-        )
-
-    def eviction_key(self, packet: Packet) -> tuple:
+    @staticmethod
+    def key(packet: Packet) -> tuple:
         return (packet.dest, -packet.message.source, packet.id)
-

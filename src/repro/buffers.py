@@ -19,9 +19,12 @@ This module is the one home for the capacity vocabulary:
     among the buffered transit packets *and* the arrival is dropped —
     the arrival may displace a buffered packet that is less urgent;
   - ``"evict-lowest-priority"``: same contest, but judged by the
-    forwarding policy's own priority order
-    (:meth:`repro.network.policy.Policy.eviction_key`), so the buffer
-    keeps exactly the packets the policy would forward first.
+    forwarding policy's own order — its
+    :meth:`~repro.network.policy.Policy.key`, which
+    :meth:`~repro.network.policy.Policy.eviction_key` returns and the
+    default ``select`` minimises — so the buffer keeps exactly the
+    packets the policy would forward first and the packet with the
+    largest key loses.
 
 * :func:`admission_victim` — the shared decision function both simulator
   backends call, so the pure-python loop and the vectorized loop cannot
@@ -105,10 +108,11 @@ def admission_victim(
     unbounded in the model, so displacing queued source traffic to admit
     transit would change the regime, not just the policy.
 
-    ``priority_key`` is required for ``"evict-lowest-priority"``: the key
-    the forwarding policy *minimises* when selecting
-    (:meth:`repro.network.policy.Policy.eviction_key`), so the *maximum*
-    is the packet the policy values least.
+    ``priority_key`` is required for ``"evict-lowest-priority"``: the
+    forwarding policy's order
+    (:meth:`repro.network.policy.Policy.eviction_key`, i.e. its ``key``),
+    which it *minimises* when selecting, so the *maximum* is the packet
+    the policy values least.
     """
     if admission == "drop-new":
         return incoming

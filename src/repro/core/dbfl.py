@@ -54,18 +54,23 @@ class DBFLPolicy(Policy):
 
     # ------------------------------------------------------------------ #
 
+    @staticmethod
+    def key(packet: Packet) -> tuple:
+        """BFL's order: nearest destination, then larger source, then id.
+
+        ``select`` applies it after the scan line's ``L`` filter; a
+        bounded buffer's admission contest applies it unfiltered.
+        """
+        return (packet.dest, -packet.message.source, packet.id)
+
     def select(self, view: NodeView) -> Packet | None:
         v = view.node
         l_value = self._l_in[v]
         eligible = [p for p in view.candidates if p.message.source >= l_value]
-        chosen: Packet | None = None
-        if eligible:
-            chosen = min(
-                eligible, key=lambda p: (p.message.dest, -p.message.source, p.id)
-            )
+        chosen = min(eligible, key=self.key) if eligible else None
         # The L value handed to node v+1 along this line: bumped iff the
         # forwarded packet completes its journey there.
-        if chosen is not None and chosen.message.dest == v + 1:
+        if chosen is not None and chosen.dest == v + 1:
             self._l_out[v] = v + 1
         else:
             self._l_out[v] = l_value

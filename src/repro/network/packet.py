@@ -33,16 +33,25 @@ class PacketStatus(enum.Enum):
     DROPPED = "dropped"  # can no longer meet its deadline
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Packet:
     """One message's mutable runtime state.
 
     ``message`` is any message type exposing ``id``, ``source``, ``dest``,
     ``release``, ``deadline`` and ``span`` (``Message``, ``RingMessage``,
-    ``MeshMessage`` all do).
+    ``MeshMessage`` all do).  The fields the step loop reads every step
+    are copied off it once: ``id``, ``deadline``, ``dest``, ``span`` and
+    ``last``, the latest step the packet can still leave its current node
+    and arrive in time (``deadline - span`` at the source, one more per
+    hop).  Packets compare by identity.
     """
 
     message: Any
+    id: int = field(init=False)
+    deadline: int = field(init=False)
+    dest: Any = field(init=False)
+    span: int = field(init=False)
+    last: int = field(init=False)
     node: Any = field(init=False)
     status: PacketStatus = field(init=False, default=PacketStatus.PENDING)
     hops_done: int = field(init=False, default=0)
@@ -51,32 +60,26 @@ class Packet:
     drop_reason: str | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        self.node = self.message.source
+        m = self.message
+        self.id = m.id
+        self.deadline = m.deadline
+        self.dest = m.dest
+        self.span = m.span
+        self.last = m.deadline - self.span
+        self.node = m.source
 
     # ------------------------------------------------------------------ #
 
-    @property
-    def id(self) -> int:
-        return self.message.id
-
-    @property
-    def dest(self) -> Any:
-        return self.message.dest
-
-    @property
-    def deadline(self) -> int:
-        return self.message.deadline
-
     def remaining_hops(self) -> int:
-        return self.message.span - self.hops_done
+        return self.span - self.hops_done
 
     def can_meet_deadline(self, time: int) -> bool:
         """Whether full-speed travel from here still beats the deadline."""
-        return time + self.remaining_hops() <= self.deadline
+        return time <= self.last
 
     def laxity(self, time: int) -> int:
         """Steps of waiting the packet can still afford (0 == must move now)."""
-        return self.deadline - time - self.remaining_hops()
+        return self.last - time
 
     # ------------------------------------------------------------------ #
 
@@ -89,7 +92,8 @@ class Packet:
         self.crossings.append(time)
         self.node = self.node + 1 if next_node is None else next_node
         self.hops_done += 1
-        if self.hops_done == self.message.span:
+        self.last += 1
+        if self.hops_done == self.span:
             self.status = PacketStatus.DELIVERED
 
     def mark_dropped(self, time: int, reason: str = "deadline") -> None:

@@ -12,6 +12,17 @@ distributed information model:
 * packet metadata (source, dest, release, deadline) rides with the packet,
   as the paper allows (an ``O(log n)``-bit header).
 
+Every policy has **one order**, its static :meth:`Policy.key`: ``select``
+defaults to the candidate with the smallest key, and the bounded-buffer
+admission contest (:meth:`Policy.eviction_key`) evicts the largest.  A
+*key-ordered* policy — one that keeps the base ``select`` and
+``emit_control`` — is therefore fully described by its key, and the
+simulator serves it without building a :class:`NodeView`, skipping nodes
+whose buffers are empty.  Policies that override ``select`` (D-BFL's
+scan-line filter, tracing wrappers) are asked through a ``NodeView`` at
+every node and step, and should still state their order as ``key`` so
+their admission contest matches what they forward.
+
 Centralised heuristics that "cheat" (e.g. global-knowledge baselines) can
 of course keep their own state; the D-BFL implementation deliberately
 restricts itself to the control channel so that Theorem 5.2's locality
@@ -43,8 +54,9 @@ class NodeView:
 
 
 class Policy:
-    """Base class; subclasses override :meth:`select` (and optionally the
-    control-channel hooks)."""
+    """Base class: a policy states its order as :meth:`key`, and may
+    override :meth:`select` (and the control-channel hooks) when the
+    order alone does not decide what it forwards."""
 
     #: Whether the simulator may fast-forward over fully idle steps (all
     #: buffers empty, nothing in flight) straight to the next release.
@@ -56,13 +68,26 @@ class Policy:
     def reset(self, n: int) -> None:
         """Called once before the run starts, with the network size."""
 
+    @staticmethod
+    def key(packet: Packet) -> tuple:
+        """The policy's one order: the smaller key is forwarded first.
+
+        It must depend on the packet alone (not on the clock or the
+        node), so that :meth:`select` and the admission contest of
+        :meth:`eviction_key` agree at every step.  The default is EDF
+        order, ``(deadline, id)``.
+        """
+        return (packet.deadline, packet.id)
+
     def select(self, view: NodeView) -> Packet | None:
         """Choose the packet node ``view.node`` forwards at ``view.time``.
 
         Return ``None`` to keep the link idle this step.  Must return one
-        of ``view.candidates``.
+        of ``view.candidates``.  The default forwards the candidate with
+        the smallest :meth:`key` (``None`` when there is none).
         """
-        raise NotImplementedError
+        candidates = view.candidates
+        return min(candidates, key=self.key) if candidates else None
 
     def eviction_key(self, packet: Packet) -> tuple:
         """Priority key for bounded-buffer admission contests.
@@ -70,13 +95,10 @@ class Policy:
         When a packet arrives at a full buffer under the
         ``"evict-lowest-priority"`` admission policy
         (:mod:`repro.buffers`), the packet with the *maximum* eviction
-        key loses its slot — so this must be the same order
-        :meth:`select` minimises, and subclasses that override
-        :meth:`select` with a different priority should override this to
-        match.  The default is EDF order, mirroring the base deadline
-        contest.
+        key loses its slot.  It returns :meth:`key`, so the buffer keeps
+        exactly the packets the policy would forward first.
         """
-        return (packet.deadline, packet.id)
+        return self.key(packet)
 
     # ------------------------------------------------------------------ #
     # Control channel (one value per node per step, moving one hop right)

@@ -14,11 +14,16 @@ One step of the synchronous network, at time ``t``:
 3. **Releases** — messages with ``release == t`` materialise at their
    sources.
 4. **Drops** — packets that can no longer meet their deadline even moving
-   at full speed are discarded (the paper's model drops a message as soon
-   as it becomes hopeless).
+   at full speed (``t > Packet.last``) are discarded (the paper's model
+   drops a message as soon as it becomes hopeless).
 5. **Selection** — every node independently asks the policy for at most one
    packet per outgoing link to forward; chosen packets are in flight until
-   step 1 of time ``t + 1``.
+   step 1 of time ``t + 1``.  A key-ordered policy (one that keeps the
+   base :meth:`~repro.network.policy.Policy.select` and ``emit_control``)
+   forwards the minimum of the buffer by its ``key``; on a fault-free
+   line or ring the loop does that directly, skipping empty nodes and
+   building no :class:`~repro.network.policy.NodeView`.  Every other
+   policy is asked through a ``NodeView`` at every node.
 
 The step loop itself is topology-free: node/link structure and routing
 come from the instance's :class:`~repro.topology.Topology` (line, ring or
@@ -326,6 +331,16 @@ class LinearNetworkSimulator:
         admission = self.admission
         policy_select = policy.select
         policy_emit = policy.emit_control
+        # A key-ordered policy (base ``select`` and ``emit_control``) is
+        # described by its key alone: it forwards the minimum by key, and
+        # a node with an empty buffer forwards and emits nothing, so the
+        # fault-free loop below skips such nodes and builds no NodeView.
+        cls = type(policy)
+        key = (
+            policy.key
+            if cls.select is Policy.select and cls.emit_control is Policy.emit_control
+            else None
+        )
 
         stop = self._horizon if until is None else min(self._horizon, until)
         while t < stop and (live > 0 or in_flight):
@@ -399,24 +414,34 @@ class LinearNetworkSimulator:
                 buffers[p.message.source].append(p)
                 policy.on_release(p, t)
 
-            # 4. drops (hopeless packets)
+            # 4. drops (hopeless packets: past their latest departure);
+            # a buffer is rebuilt only when it holds one
             for v in nodes:
-                keep: list[Packet] = []
-                for p in buffers[v]:
-                    if p.can_meet_deadline(t):
-                        keep.append(p)
-                    else:
-                        p.mark_dropped(t)
-                        dropped.append(p)
-                        dropped_n += 1
-                        policy.on_drop(p, t)
-                        live -= 1
-                buffers[v] = keep
+                buf = buffers[v]
+                if not buf:
+                    continue
+                hopeless = False
+                for p in buf:
+                    if t > p.last:
+                        hopeless = True
+                        break
+                if hopeless:
+                    keep: list[Packet] = []
+                    for p in buf:
+                        if t > p.last:
+                            p.mark_dropped(t)
+                            dropped.append(p)
+                            dropped_n += 1
+                            policy.on_drop(p, t)
+                            live -= 1
+                        else:
+                            keep.append(p)
+                    buffers[v] = buf = keep
                 if peaks is not None:
-                    if len(keep) > peaks[v]:
-                        peaks[v] = len(keep)
+                    if len(buf) > peaks[v]:
+                        peaks[v] = len(buf)
                 else:
-                    stats.record_buffer(v, len(keep))
+                    stats.record_buffer(v, len(buf))
 
             # 5. selection + control emission
             if uniform:
@@ -425,8 +450,13 @@ class LinearNetworkSimulator:
                     # forward inlined
                     for v, link, nxt, ctrl_next in sel_plan:
                         buf = buffers[v]
-                        view = NodeView(node=v, time=t, candidates=tuple(buf))
-                        chosen = policy_select(view)
+                        if key is not None:
+                            if not buf:
+                                continue
+                            chosen = min(buf, key=key)
+                        else:
+                            view = NodeView(node=v, time=t, candidates=tuple(buf))
+                            chosen = policy_select(view)
                         if chosen is not None:
                             if chosen not in buf:
                                 raise RuntimeError(
@@ -445,9 +475,10 @@ class LinearNetworkSimulator:
                             else:
                                 stats.record_hop(v)
                             in_flight.append(chosen)
-                        value = policy_emit(v, t)
-                        if value is not None and ctrl_next is not None:
-                            control_in_flight.append((ctrl_next, value))
+                        if key is None:
+                            value = policy_emit(v, t)
+                            if value is not None and ctrl_next is not None:
+                                control_in_flight.append((ctrl_next, value))
                 else:
                     for v, link, nxt, ctrl_next in sel_plan:
                         if faults.link_down(link, t):

@@ -46,8 +46,11 @@ class TracingPolicy(Policy):
         self.inner = inner
         self.events: list[TraceEvent] = []
         # Transparent wrapper: fast-forwarding is safe exactly when it is
-        # safe for the wrapped policy (idle steps produce no events).
+        # safe for the wrapped policy (idle steps produce no events), and
+        # a bounded buffer's admission contest runs in the wrapped order.
         self.idle_skippable = inner.idle_skippable
+        self.key = inner.key
+        self.eviction_key = inner.eviction_key
 
     # ------------------------------------------------------------------ #
 
