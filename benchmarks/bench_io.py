@@ -5,9 +5,13 @@ Times the one parse entrypoint the CLI, the server and the client share
 schedule half of a served BFL solve: ``io.schedule_to_dict`` on the
 kernel's schedule, ``io.schedule_from_dict`` and the client's
 ``ScheduleResult.from_dict``.  Sizes are the served one (n=32, k=200) and
-a large one (n=64, k=1000).  Each case asserts that what it returns
-equals the object-built instance or schedule (the readable BFL's), so a
-fast path that answers a different problem fails here.
+a large one (n=64, k=1000).  The parse, ``schedule_to_dict`` and
+``schedule_from_dict`` cases run on both document forms: ``columns``
+(version 2, what the writers emit) and ``rows`` (version 1, one object
+per message or trajectory, still read), so the cost of each form shows
+side by side.  Each case asserts that what it returns equals the
+object-built instance or schedule (the readable BFL's), so a fast path
+that answers a different problem fails here.
 ``perfbench/run.py --workload serve --trace 1`` reports the same layers
 as ``api.parse_instance.ms``, ``api.to_dict.ms`` and ``client.decode.ms``.
 """
@@ -24,6 +28,29 @@ from repro.topology import topology_of
 from repro.workloads import general_instance
 
 SIZES = [(32, 200), (64, 1000)]
+FORMS = ["rows", "columns"]
+MESSAGE_FIELDS = ("id", "source", "dest", "release", "deadline")
+
+
+def _instance_rows(doc):
+    """A version-2 instance document in the version-1 form."""
+    rows = [dict(zip(MESSAGE_FIELDS, row)) for row in zip(*doc["messages"].values())]
+    return {**doc, "version": 1, "messages": rows}
+
+
+def _schedule_rows(schedule):
+    """The version-1 writer: one object per trajectory."""
+    return {
+        "format": "repro-schedule",
+        "version": 1,
+        "trajectories": [
+            {"message_id": mid, "source": source, "crossings": list(crossings)}
+            for mid, source, crossings in zip(*schedule.table)
+        ],
+    }
+
+
+_WRITERS = {"rows": _schedule_rows, "columns": schedule_to_dict}
 
 
 def _document(n, k):
@@ -38,10 +65,13 @@ def _document(n, k):
 
 
 @pytest.mark.parametrize("n,k", SIZES, ids=[f"n{n}-k{k}" for n, k in SIZES])
-@pytest.mark.parametrize("form", ["dict", "text"])
-def test_parse_instance(benchmark, n, k, form):
+@pytest.mark.parametrize("payload_type", ["dict", "text"])
+@pytest.mark.parametrize("form", FORMS)
+def test_parse_instance(benchmark, n, k, payload_type, form):
     inst, doc = _document(n, k)
-    payload = json.dumps(doc) if form == "text" else doc
+    if form == "rows":
+        doc = _instance_rows(doc)
+    payload = json.dumps(doc) if payload_type == "text" else doc
     parsed = benchmark(api.parse_instance, payload)
     assert parsed == inst
     assert len(parsed) == k
@@ -55,16 +85,18 @@ def _solved(n, k):
 
 
 @pytest.mark.parametrize("n,k", SIZES, ids=[f"n{n}-k{k}" for n, k in SIZES])
-def test_schedule_to_dict(benchmark, n, k):
+@pytest.mark.parametrize("form", FORMS)
+def test_schedule_to_dict(benchmark, n, k, form):
     result, expected = _solved(n, k)
-    doc = benchmark(schedule_to_dict, result.schedule)
-    assert doc == schedule_to_dict(expected)
+    doc = benchmark(_WRITERS[form], result.schedule)
+    assert doc == _WRITERS[form](expected)
 
 
 @pytest.mark.parametrize("n,k", SIZES, ids=[f"n{n}-k{k}" for n, k in SIZES])
-def test_schedule_from_dict(benchmark, n, k):
+@pytest.mark.parametrize("form", FORMS)
+def test_schedule_from_dict(benchmark, n, k, form):
     _, expected = _solved(n, k)
-    doc = json.loads(json.dumps(schedule_to_dict(expected)))
+    doc = json.loads(json.dumps(_WRITERS[form](expected)))
     parsed = benchmark(schedule_from_dict, doc)
     assert parsed == expected
 

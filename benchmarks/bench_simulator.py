@@ -40,4 +40,4 @@ def test_simulate(benchmark, case):
     inst, kw = sim_golden.case_inputs(GOLDEN, case)
     policy_cls = sim_golden.POLICIES[case["policy"]]
     result = benchmark(lambda: simulate(inst, policy_cls(), **kw))
-    assert sim_golden.encode(result, topology_of(inst)) == case["result"]
+    assert sim_golden.matches(result, topology_of(inst), case["result"])

@@ -67,6 +67,7 @@ from .errors import (
     ServerError,
     ServerOverloaded,
 )
+from .io import message_row
 from .online import StreamResult
 from .online.stream import Decision
 from .topology import topology_of
@@ -501,18 +502,6 @@ class ReproClient:
         return stream
 
 
-def _message_row(message: Any) -> dict[str, Any]:
-    if isinstance(message, dict):
-        return message
-    return {
-        "id": message.id,
-        "source": message.source,
-        "dest": message.dest,
-        "release": message.release,
-        "deadline": message.deadline,
-    }
-
-
 class ClientStream:
     """One open stream session, as seen from the client.
 
@@ -557,7 +546,7 @@ class ClientStream:
     def feed(self, messages: Iterable[Any]) -> list[Decision]:
         """Feed arrivals (``Message``/``RingMessage`` objects or dicts);
         returns the newly finalized decisions."""
-        rows = [_message_row(m) for m in messages]
+        rows = [message_row(m) for m in messages]
         data = self.client._call(
             "POST",
             f"/v1/streams/{self.stream_id}/arrivals",

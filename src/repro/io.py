@@ -1,45 +1,59 @@
 """JSON (de)serialization for instances and schedules.
 
 The format is deliberately plain so traces can be generated, archived and
-diffed outside Python:
+diffed outside Python.  Writers emit version 2, which stores the messages
+as five equal-length int arrays (one entry per message, in message
+order):
 
 ```json
 {
   "format": "repro-instance",
-  "version": 1,
+  "version": 2,
   "n": 12,
-  "messages": [{"id": 0, "source": 0, "dest": 6, "release": 0, "deadline": 8}]
+  "messages": {
+    "id": [0, 1],
+    "source": [0, 3],
+    "dest": [6, 9],
+    "release": [0, 2],
+    "deadline": [8, 11]
+  }
 }
 ```
 
 Schedules store crossing times per message, which round-trips buffered and
-bufferless trajectories alike.  ``load_*`` functions validate structure and
-re-run the model validators, so a hand-edited file cannot smuggle in an
-inconsistent object.
+bufferless trajectories alike: ``trajectories`` holds the arrays
+``message_id``, ``source`` and ``crossings`` (one int array per row).
+Version 1 documents hold one object per message (``{"id": 0, "source":
+0, ...}``) and one per trajectory, and load unchanged.  ``load_*``
+functions validate structure and re-run the model validators, so a
+hand-edited file cannot smuggle in an inconsistent object.
 
 Every integer field goes through :func:`wire_int`: JSON integers and
 integral floats such as ``7.0`` pass, while a bool, a string or a
 fractional float raises ``ValueError`` naming the message and the field,
 so a parsed document never answers a different problem from the one sent.
 
-:func:`instance_from_dict` reads the rows straight into the five int
-columns of a :class:`~repro.core.instance.MessageTable` and validates them
-in bulk (:meth:`~repro.core.instance.Instance.from_table`); no ``Message``
-object is built until someone reads ``Instance.messages``.  A document
-that fails a bulk check is parsed again by the per-message loop, so the
-caller gets the same ``ValueError``, with the same text, either way.
+:func:`instance_from_dict` reads the columns (or the rows of a version-1
+document) straight into a :class:`~repro.core.instance.MessageTable` and
+validates it in bulk (:meth:`~repro.core.instance.Instance.from_table`);
+no ``Message`` object is built until someone reads ``Instance.messages``.
+A document that fails a bulk check is parsed again by the per-message
+loop, its columns zipped back into rows first, so the caller gets the
+same ``ValueError``, with the same text, either way.  Columns of unequal
+length are refused, never truncated.
 
-Schedules are columns too.  :func:`schedule_to_dict` writes the rows of
-:attr:`Schedule.table <repro.core.schedule.Schedule.table>` and
+Schedules are columns too.  :func:`schedule_to_dict` writes the columns
+of :attr:`Schedule.table <repro.core.schedule.Schedule.table>` and
 :func:`schedule_from_dict` reads them back into a
 :class:`~repro.core.schedule.TrajectoryTable` checked by
 :meth:`~repro.core.schedule.Schedule.from_table`, so a BFL schedule goes
 from the kernel to JSON and back without a ``Trajectory`` object being
-built.  A schedule built from objects writes the same document bytes.
+built.  A schedule built from objects writes the same document.
 
 The dict-level functions here are the *line* documents; ring and mesh
 instances carry a ``"topology"`` discriminator and are handled by their
-topology's ``instance_to_dict`` / ``instance_from_dict``.
+topology's ``instance_to_dict`` / ``instance_from_dict``, which still
+read and write version 1 only.
 :func:`repro.api.parse_instance` is the one shared parse entrypoint
 (CLI, server, client); :func:`load_instance` routes through it, so files
 of any topology load transparently.
@@ -62,6 +76,7 @@ __all__ = [
     "wire_int",
     "wire_message_row",
     "plain_message_rows",
+    "message_row",
     "instance_to_dict",
     "instance_from_dict",
     "save_instance",
@@ -74,9 +89,13 @@ __all__ = [
 
 _INSTANCE_FORMAT = "repro-instance"
 _SCHEDULE_FORMAT = "repro-schedule"
-_VERSION = 1
-_row_values = itemgetter("id", "source", "dest", "release", "deadline")
-_trajectory_values = itemgetter("message_id", "source", "crossings")
+#: The version the writers here emit; the readers accept 1 (rows) and 2
+#: (columns).
+_VERSION = 2
+_MESSAGE_FIELDS = ("id", "source", "dest", "release", "deadline")
+_TRAJECTORY_FIELDS = ("message_id", "source", "crossings")
+_row_values = itemgetter(*_MESSAGE_FIELDS)
+_trajectory_values = itemgetter(*_TRAJECTORY_FIELDS)
 
 
 def wire_int(value: Any, field: str, owner: str) -> int:
@@ -100,19 +119,10 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
         "format": _INSTANCE_FORMAT,
         "version": _VERSION,
         "n": instance.n,
-        "messages": [
-            {
-                "id": m.id,
-                "source": m.source,
-                "dest": m.dest,
-                "release": m.release,
-                "deadline": m.deadline,
-            }
-            for m in instance
-        ],
+        "messages": dict(zip(_MESSAGE_FIELDS, map(list, instance.table))),
     }
-    # Emitted only when set so unbounded documents stay byte-identical
-    # to the historic format.
+    # Emitted only when set, so an unbounded document (the paper's
+    # setting) carries no capacity key.
     if instance.buffer_capacity is not None:
         out["buffer_capacity"] = instance.buffer_capacity
     return out
@@ -122,16 +132,87 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
     """Parse a line instance document into a table-backed :class:`Instance`.
 
     Falls back to the per-message loop whenever a field is not a plain
-    int or a row is missing or malformed, so errors are the loop's own.
+    int or a row or column is missing or malformed, so errors are the
+    loop's own.
     """
-    _check_header(data, _INSTANCE_FORMAT)
-    values = plain_message_rows(data.get("messages"))
+    version = _check_header(data, _INSTANCE_FORMAT, latest=_VERSION)
+    messages = data.get("messages")
+    table = None
+    if version == 1:
+        values = plain_message_rows(messages)
+        if values is not None:
+            table = MessageTable(*zip(*values)) if values else MessageTable.of(())
+    else:
+        columns = _column_lists(messages, _MESSAGE_FIELDS)
+        if columns is not None and set(map(type, chain.from_iterable(columns))) <= {int}:
+            table = MessageTable(*map(tuple, columns))
     n = data.get("n")
     cap = data.get("buffer_capacity")
-    if values is not None and type(n) is int and (cap is None or type(cap) is int):
-        table = MessageTable(*zip(*values)) if values else MessageTable.of(())
+    if table is not None and type(n) is int and (cap is None or type(cap) is int):
         return Instance.from_table(n, table, buffer_capacity=cap)
+    if version == 1:
+        _check_row_array(data, "messages", "instance")
+    else:
+        rows = _column_rows(data, "messages", _MESSAGE_FIELDS, "instance")
+        data = {**data, "messages": [dict(zip(_MESSAGE_FIELDS, row)) for row in rows]}
     return _instance_from_rows(data)
+
+
+def _check_row_array(data: dict[str, Any], key: str, what: str) -> None:
+    """Refuse a version-1 table ``data[key]`` that is present but no array."""
+    rows = data.get(key, [])
+    if not isinstance(rows, list):
+        raise ValueError(
+            f"{what} field {key!r} must be an array of objects (version 1), "
+            f"got {type(rows).__name__}"
+        )
+
+
+def _column_lists(columns: Any, fields: tuple[str, ...]) -> list[list[Any]] | None:
+    """The ``fields`` columns of a version-2 table, checked in bulk.
+
+    ``None`` unless ``columns`` is an object holding every field as an
+    array and all the arrays have one length; the caller checks the values.
+    """
+    if type(columns) is not dict:
+        return None
+    try:
+        values = [columns[field] for field in fields]
+    except KeyError:
+        return None
+    if set(map(type, values)) == {list} and len(set(map(len, values))) == 1:
+        return values
+    return None
+
+
+def _column_rows(
+    data: dict[str, Any], key: str, fields: tuple[str, ...], what: str
+) -> list[tuple[Any, ...]]:
+    """The version-2 table ``data[key]`` zipped back into rows (one value
+    per field) for the row-by-row read, which reports what is wrong.
+
+    Raises ``ValueError`` when it cannot be zipped: a missing key or
+    column, a column that is no array, or columns of unequal length.
+    """
+    try:
+        columns = data[key]
+        if not isinstance(columns, dict):
+            raise ValueError(
+                f"{what} field {key!r} must be an object of arrays "
+                f"{', '.join(fields)} (version 2), got {type(columns).__name__}"
+            )
+        values = [columns[field] for field in fields]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc} in {what} data") from exc
+    for field, value in zip(fields, values):
+        if not isinstance(value, list):
+            raise ValueError(
+                f"{what} column {field!r} must be an array, got {type(value).__name__}"
+            )
+    if len(set(map(len, values))) > 1:
+        lengths = ", ".join(f"{field} {len(value)}" for field, value in zip(fields, values))
+        raise ValueError(f"{what} columns differ in length: {lengths}")
+    return list(zip(*values))
 
 
 def plain_message_rows(rows: Any) -> list[tuple[int, int, int, int, int]] | None:
@@ -185,14 +266,33 @@ def wire_message_row(row: dict[str, Any], where: str) -> tuple[int, int, int, in
     )
 
 
+def message_row(message: Any) -> dict[str, Any]:
+    """One message as a version-1 row (its five int fields); a dict is
+    taken to be a row already and returned as it is.
+
+    The form of a stream's arrival batches and of its journal records.
+    """
+    if isinstance(message, dict):
+        return message
+    return {
+        "id": message.id,
+        "source": message.source,
+        "dest": message.dest,
+        "release": message.release,
+        "deadline": message.deadline,
+    }
+
+
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
+    ids, sources, crossings = schedule.table
     return {
         "format": _SCHEDULE_FORMAT,
         "version": _VERSION,
-        "trajectories": [
-            {"message_id": mid, "source": source, "crossings": list(crossings)}
-            for mid, source, crossings in zip(*schedule.table)
-        ],
+        "trajectories": {
+            "message_id": list(ids),
+            "source": list(sources),
+            "crossings": list(map(list, crossings)),
+        },
     }
 
 
@@ -200,12 +300,19 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
     """Parse a schedule document into a table-backed :class:`Schedule`.
 
     Falls back to the row-by-row read whenever a field is not a plain int
-    or a row is missing or malformed, so errors are that read's own.
+    or a row or column is missing or malformed, so errors are that read's
+    own.
     """
-    _check_header(data, _SCHEDULE_FORMAT)
-    table = _plain_trajectory_table(data.get("trajectories"))
-    if table is None:
-        table = _trajectory_table_from_rows(data)
+    version = _check_header(data, _SCHEDULE_FORMAT, latest=_VERSION)
+    if version == 1:
+        table = _plain_trajectory_table(data.get("trajectories"))
+        if table is None:
+            _check_row_array(data, "trajectories", "schedule")
+            table = _trajectory_table_from_rows(data)
+    else:
+        table = _plain_trajectory_columns(data.get("trajectories"))
+        if table is None:
+            table = _trajectory_table_from_columns(data)
     return Schedule.from_table(table)  # re-validates edge-disjointness
 
 
@@ -230,6 +337,25 @@ def _plain_trajectory_table(rows: Any) -> TrajectoryTable | None:
     return None
 
 
+def _plain_trajectory_columns(columns: Any) -> TrajectoryTable | None:
+    """A version-2 trajectory table, checked in bulk.
+
+    ``None`` unless ``columns`` holds the arrays ``message_id``, ``source``
+    and ``crossings`` of one length, with plain ints for ids and sources
+    and an array of plain ints for each row's ``crossings``.
+    """
+    values = _column_lists(columns, _TRAJECTORY_FIELDS)
+    if values is None:
+        return None
+    ids, sources, crossings = values
+    if not set(map(type, crossings)) <= {list}:
+        return None
+    crossings = tuple(map(tuple, crossings))
+    if set(map(type, chain(ids, sources, chain.from_iterable(crossings)))) <= {int}:
+        return TrajectoryTable(tuple(ids), tuple(sources), crossings)
+    return None
+
+
 def _trajectory_table_from_rows(data: dict[str, Any]) -> TrajectoryTable:
     """The row-by-row reference read: each field through :func:`wire_int`."""
     try:
@@ -240,7 +366,28 @@ def _trajectory_table_from_rows(data: dict[str, Any]) -> TrajectoryTable:
         ]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in schedule data") from exc
-    rows = [_checked_trajectory_row(i, row) for i, row in enumerate(rows)]
+    return _trajectory_table([_checked_trajectory_row(i, row) for i, row in enumerate(rows)])
+
+
+def _trajectory_table_from_columns(data: dict[str, Any]) -> TrajectoryTable:
+    """The version-2 error path: the columns zipped back into flat rows,
+    each checked as the row-by-row read checks it."""
+    rows = []
+    for i, (mid, source, crossings) in enumerate(
+        _column_rows(data, "trajectories", _TRAJECTORY_FIELDS, "schedule")
+    ):
+        if not isinstance(crossings, list):
+            mid = wire_int(mid, "message_id", f"trajectory at row {i}")
+            raise ValueError(
+                f"trajectory for message {mid}: field 'crossings' must be an "
+                f"array of integers, got {crossings!r}"
+            )
+        rows.append(_checked_trajectory_row(i, (mid, source, *crossings)))
+    return _trajectory_table(rows)
+
+
+def _trajectory_table(rows: list[tuple[int, ...]]) -> TrajectoryTable:
+    """Checked flat ``(message_id, source, *crossings)`` rows as columns."""
     return TrajectoryTable(
         tuple(map(itemgetter(0), rows)),
         tuple(map(itemgetter(1), rows)),
@@ -261,9 +408,9 @@ def _checked_trajectory_row(index: int, row: tuple[Any, ...]) -> tuple[int, ...]
 def save_instance(instance: Any, path: str | Path) -> None:
     """Write any topology's instance as self-describing JSON.
 
-    Line instances keep the historic document shape (plus a ``topology``
-    discriminator); ring/mesh instances delegate to their topology's
-    serializer.
+    Line instances are written as :func:`instance_to_dict`'s version-2
+    columns (plus a ``topology`` discriminator); ring/mesh instances
+    delegate to their topology's serializer.
     """
     from .topology import topology_of
 
@@ -286,12 +433,19 @@ def load_schedule(path: str | Path) -> Schedule:
     return schedule_from_dict(json.loads(Path(path).read_text()))
 
 
-def _check_header(data: dict[str, Any], expected: str) -> None:
+def _check_header(data: dict[str, Any], expected: str, latest: int = 1) -> Any:
+    """Check a document's ``format`` and that its ``version`` is one of
+    ``1..latest``; returns the version.
+
+    Ring and mesh documents keep the default: version 1 only.
+    """
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     fmt = data.get("format")
     if fmt != expected:
         raise ValueError(f"expected format {expected!r}, got {fmt!r}")
     version = data.get("version")
-    if version != _VERSION:
-        raise ValueError(f"unsupported version {version!r} (supported: {_VERSION})")
+    if version not in range(1, latest + 1):
+        supported = f"1..{latest}" if latest > 1 else "1"
+        raise ValueError(f"unsupported version {version!r} (supported: {supported})")
+    return version

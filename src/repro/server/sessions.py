@@ -48,7 +48,7 @@ from .. import obs
 from ..core.instance import Instance
 from ..core.message import Message
 from ..errors import ConfigError, ServerOverloaded
-from ..io import plain_message_rows, wire_int, wire_message_row
+from ..io import message_row, plain_message_rows, wire_int, wire_message_row
 from ..online import ONLINE_POLICIES, StreamResult, start_online
 from ..online import run_online  # noqa: F401  (perfbench/launcher.py wraps this name)
 from ..online.stream import Decision
@@ -88,17 +88,6 @@ def _empty_instance(topology: str, n: int) -> Any:
 
         return RingInstance(n, ())
     return Instance(n, ())
-
-
-def _message_row(message: Any) -> dict[str, Any]:
-    """The canonical journal form of one arrival (five fields, ints)."""
-    return {
-        "id": message.id,
-        "source": message.source,
-        "dest": message.dest,
-        "release": message.release,
-        "deadline": message.deadline,
-    }
 
 
 class OnlineSession:
@@ -219,7 +208,7 @@ class OnlineSession:
             # WAL contract: the batch is on disk (fsynced) before any
             # state changes or any acknowledgement leaves the server.
             self.journal.append_feed(
-                self.session_id, applied, [_message_row(m) for m in batch]
+                self.session_id, applied, [message_row(m) for m in batch]
             )
         frontier = max([self.frontier, *(m.release for m in batch)])
         new = self._runner.apply(checked, frontier)

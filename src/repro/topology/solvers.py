@@ -22,7 +22,7 @@ from typing import Any
 from .. import obs
 from .base import RawResult
 
-__all__ = ["BASELINES", "GREEDY_ORDERS", "POLICIES"]
+__all__ = ["BASELINES", "GREEDY_ORDERS", "MESH_POLICIES", "POLICIES"]
 
 
 def _take(opts: dict[str, Any], name: str, default: Any) -> Any:
@@ -46,6 +46,9 @@ POLICIES: dict[str, str] = {
     "laxity": "MinLaxityPolicy",
     "nearest": "NearestDestPolicy",
 }
+#: The named policies whose order is defined on a mesh's ``(row, col)``
+#: nodes; ``nearest`` orders by integer node ids.
+MESH_POLICIES = ("edf", "fcfs", "laxity")
 
 
 def _named_policy(policy: Any) -> Any:
@@ -456,9 +459,16 @@ def mesh_bufferless_greedy(instance: Any, opts: dict[str, Any]) -> RawResult:
 def mesh_buffered_greedy(instance: Any, opts: dict[str, Any]) -> RawResult:
     from ..network.simulator import simulate
 
+    from ..baselines import NearestDestPolicy
     from ..buffers import DEFAULT_ADMISSION
+    from ..errors import ConfigError
 
     policy = _named_policy(_take(opts, "policy", "edf"))
+    if isinstance(policy, NearestDestPolicy):
+        raise ConfigError(
+            "policy 'nearest' orders packets by integer node ids and has no "
+            f"mesh form; a mesh supports {MESH_POLICIES} or a Policy instance"
+        )
     buffer_capacity = _take(opts, "buffer_capacity", None)
     admission = _take(opts, "admission", DEFAULT_ADMISSION)
     _reject_unknown(opts, "buffered", "greedy")

@@ -30,11 +30,14 @@ class TraceEvent:
 
     ``kind`` is one of ``release, forward, idle, deliver, drop, control``;
     ``message_id`` is ``None`` for node-level events (idle, control).
+    ``node`` is the topology's node id (an ``int`` on lines and rings, a
+    ``(row, col)`` tuple on meshes).  A forward's ``detail`` reads
+    ``hop h/span``: the hop the packet is about to make.
     """
 
     time: int
     kind: str
-    node: int
+    node: Hashable
     message_id: int | None = None
     detail: str = ""
 
@@ -67,9 +70,11 @@ class TracingPolicy(Policy):
                                f"{len(view.candidates)} buffered")
                 )
         else:
+            # The next node is the topology's to route (a ring wraps, a
+            # mesh turns); the packet knows only how far it has come.
             self.events.append(
                 TraceEvent(view.time, "forward", view.node, chosen.id,
-                           f"-> {view.node + 1}")
+                           f"hop {chosen.hops_done + 1}/{chosen.span}")
             )
         return chosen
 
@@ -106,7 +111,7 @@ class TracingPolicy(Policy):
         """Human-readable chronological log."""
         rows = self.events if limit is None else self.events[:limit]
         return "\n".join(
-            f"t={e.time:<4} {e.kind:<8} node {e.node:<3}"
+            f"t={e.time:<4} {e.kind:<8} node {e.node!s:<3}"
             + (f" msg {e.message_id}" if e.message_id is not None else "")
             + (f"  {e.detail}" if e.detail else "")
             for e in rows

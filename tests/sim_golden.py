@@ -14,7 +14,7 @@ Regenerate (only when a change is *meant* to alter simulator results)::
     PYTHONPATH=src python tests/sim_golden.py --write
 
 ``tests/test_sim_golden.py`` and ``benchmarks/bench_simulator.py`` read
-it through :func:`load`, :func:`case_inputs` and :func:`encode`.
+it through :func:`load`, :func:`case_inputs` and :func:`matches`.
 """
 
 from __future__ import annotations
@@ -158,6 +158,15 @@ def encode(result: Any, topo: Any) -> dict[str, Any]:
             "stats": stats,
         }
     )
+
+
+def matches(result: Any, topo: Any, stored: dict[str, Any]) -> bool:
+    """Whether ``result`` equals a stored :func:`encode`: the schedule as
+    decoded objects (a stored document may be any version its topology
+    reads, and line documents changed form), every other field as data."""
+    got, stored = encode(result, topo), dict(stored)
+    del got["schedule"]
+    return topo.schedule_from_dict(stored.pop("schedule")) == result.schedule and got == stored
 
 
 def _encode_faults(plan: FaultPlan) -> dict[str, Any]:

@@ -213,7 +213,11 @@ class TestResultSerialization:
         assert payload["topology"] == "line"
         decoded = json.loads(json.dumps(payload))
         assert decoded["delivered"] == payload["delivered"]
-        assert len(decoded["schedule"]["trajectories"]) == payload["delivered"]
+        trajectories = decoded["schedule"]["trajectories"]  # version-2 columns
+        assert len(trajectories["message_id"]) == payload["delivered"]
+        assert api.ScheduleResult.from_dict(decoded).schedule == api.solve(
+            inst, "online", "bfl"
+        ).schedule
 
 
 class TestValidation:

@@ -143,6 +143,36 @@ class TestSolve:
 
         validate_schedule(load_instance(instance_file), load_schedule(out))
 
+    def test_out_writes_version_2_columns(self, capsys, tmp_path, instance_file):
+        import json
+
+        from repro.core.bfl_fast import bfl_fast
+        from repro.io import load_instance, load_schedule
+
+        out = tmp_path / "sched.json"
+        assert main(["solve", str(instance_file), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["version"] == 2
+        assert set(doc["trajectories"]) == {"message_id", "source", "crossings"}
+        assert load_schedule(out) == bfl_fast(load_instance(instance_file))
+
+    @pytest.mark.parametrize("algorithm", ["bfl", "dbfl", "edf", "exact"])
+    def test_accepts_version_1_file(self, capsys, tmp_path, algorithm):
+        # Written by `repro solve` when documents held one object per row.
+        import json
+        from pathlib import Path
+
+        from repro.io import load_schedule
+
+        data = Path(__file__).parent / "data" / "v1"
+        assert json.loads((data / "instance.json").read_text())["version"] == 1
+        out = tmp_path / "sched.json"
+        argv = ["solve", str(data / "instance.json"), "--algorithm", algorithm]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert "delivered" in capsys.readouterr().out
+        if algorithm == "bfl":
+            assert load_schedule(out) == load_schedule(data / "schedule_bfl.json")
+
     def test_gantt_flag(self, capsys, instance_file):
         assert main(["solve", str(instance_file), "--gantt"]) == 0
         assert "utilisation" in capsys.readouterr().out

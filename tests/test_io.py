@@ -51,8 +51,10 @@ class TestInstanceRoundtrip:
         save_instance(paper_example, path)
         data = json.loads(path.read_text())
         assert data["format"] == "repro-instance"
+        assert data["version"] == 2
         assert data["n"] == 22
-        assert len(data["messages"]) == 6
+        assert set(data["messages"]) == {"id", "source", "dest", "release", "deadline"}
+        assert all(len(column) == 6 for column in data["messages"].values())
 
     def test_random_roundtrips(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -122,6 +124,10 @@ def _row(mid=0, source=0, dest=3, release=1, deadline=6):
     return {"id": mid, "source": source, "dest": dest, "release": release, "deadline": deadline}
 
 
+def _v1_schedule(rows):
+    return {"format": "repro-schedule", "version": 1, "trajectories": rows}
+
+
 class TestWireIntegers:
     """Every integer field rejects bools, strings and fractional floats."""
 
@@ -154,9 +160,12 @@ class TestWireIntegers:
     @pytest.mark.parametrize("bad", [[2.7, 3.2], ["2", "3"], [True, 3]])
     def test_schedule_crossings(self, bad):
         doc = schedule_to_dict(Schedule((Trajectory(5, 1, (2, 3)),)))
-        doc["trajectories"][0]["crossings"] = bad
+        doc["trajectories"]["crossings"][0] = bad
         with pytest.raises(ValueError, match="trajectory for message 5: field 'crossings'"):
             schedule_from_dict(doc)
+        rows = _v1_schedule([{"message_id": 5, "source": 1, "crossings": bad}])
+        with pytest.raises(ValueError, match="trajectory for message 5: field 'crossings'"):
+            schedule_from_dict(rows)
 
     @pytest.mark.parametrize("shape", ["ring", "mesh"])
     def test_ring_and_mesh_documents(self, shape):
@@ -188,10 +197,11 @@ class TestWireIntegers:
 
     def test_schedule_integral_floats(self):
         doc = schedule_to_dict(Schedule((Trajectory(5, 1, (2, 3)),)))
-        doc["trajectories"][0].update(message_id=5.0, source=1.0, crossings=[2.0, 3.0])
-        again = schedule_from_dict(doc)
-        assert again.trajectories == (Trajectory(5, 1, (2, 3)),)
-        assert all(type(t) is int for t in again.trajectories[0].crossings)
+        doc["trajectories"].update(message_id=[5.0], source=[1.0], crossings=[[2.0, 3.0]])
+        rows = _v1_schedule([{"message_id": 5.0, "source": 1.0, "crossings": [2.0, 3.0]}])
+        for again in map(schedule_from_dict, (doc, rows)):
+            assert again.trajectories == (Trajectory(5, 1, (2, 3)),)
+            assert all(type(t) is int for t in again.trajectories[0].crossings)
 
 
 # Values the wire may carry where an integer belongs: mostly small ints (so

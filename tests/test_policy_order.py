@@ -247,3 +247,32 @@ class TestFastPathParity:
         with mock.patch.object(simulator_mod, "NodeView", wraps=NodeView) as spy:
             simulate(inst, TracingPolicy(EDFPolicy()), backend="python")
         assert spy.call_count > 0
+
+
+# --------------------------------------------------------------------- #
+# mesh nodes are (row, col) tuples
+# --------------------------------------------------------------------- #
+
+
+class TestMeshPolicies:
+    @pytest.fixture
+    def mesh(self):
+        from repro.topology import make_mesh_instance
+
+        return make_mesh_instance(
+            3, 3, [((0, 0), (2, 2), 0, 8), ((0, 1), (2, 1), 0, 6), ((2, 2), (0, 0), 0, 9)]
+        )
+
+    @pytest.mark.parametrize("policy", ["nearest", NearestDestPolicy()])
+    def test_nearest_is_refused_with_the_mesh_options(self, mesh, policy):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError) as info:
+            api.solve(mesh, "buffered", "greedy", policy=policy)
+        for name in ("'edf'", "'fcfs'", "'laxity'"):
+            assert name in str(info.value)
+
+    @pytest.mark.parametrize("policy", ["edf", "fcfs", "laxity"])
+    def test_other_policies_run(self, mesh, policy):
+        result = api.solve(mesh, "buffered", "greedy", policy=policy)
+        assert result.delivered == 3

@@ -181,8 +181,8 @@ class TestTypedErrors:
 
     def test_fractional_release_is_bad_request(self, client):
         doc = topology_of(_line()).instance_to_dict(_line())
-        doc["messages"][2]["release"] += 0.5
-        mid = doc["messages"][2]["id"]
+        doc["messages"]["release"][2] += 0.5
+        mid = doc["messages"]["id"][2]
         status, data, _ = client._request(
             "POST", "/v1/solve", {"instance": doc, "regime": "bufferless", "method": "bfl"}
         )

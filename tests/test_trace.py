@@ -80,3 +80,33 @@ class TestTracingPolicy:
         simulate(inst, tracer)
         times = [e.time for e in tracer.events]
         assert times == sorted(times)
+
+    def test_forward_detail_at_a_ring_wrap(self):
+        from repro.topology.ring import RingInstance, RingMessage
+
+        inst = RingInstance(6, (RingMessage(0, 4, 1, 0, 6, n=6),))
+        tracer = TracingPolicy(EDFPolicy())
+        result = simulate(inst, tracer)
+        assert result.delivered_ids == {0}
+        forwards = tracer.of_kind("forward")
+        assert [e.node for e in forwards] == [4, 5, 0]  # wraps past node 5
+        assert [e.detail for e in forwards] == ["hop 1/3", "hop 2/3", "hop 3/3"]
+        assert tracer.of_kind("deliver")[0].node == 1
+
+    def test_mesh_run_is_traced(self):
+        from repro.topology import make_mesh_instance
+
+        inst = make_mesh_instance(
+            3, 3, [((0, 0), (2, 2), 0, 8), ((0, 1), (2, 1), 0, 6), ((2, 0), (0, 2), 1, 9)]
+        )
+        tracer = TracingPolicy(EDFPolicy())
+        traced = simulate(inst, tracer)
+        plain = simulate(inst, EDFPolicy())
+        assert traced.schedule == plain.schedule
+        assert traced.delivered_ids == plain.delivered_ids == {0, 1, 2}
+        first = tracer.for_message(0)
+        assert [e.node for e in first if e.kind == "forward"] == [
+            (0, 0), (0, 1), (0, 2), (1, 2)  # row first, then down the column
+        ]
+        assert [e.detail for e in first if e.kind == "forward"][-1] == "hop 4/4"
+        assert "node (2, 2) msg 0" in tracer.render()
