@@ -76,8 +76,9 @@ class MessageTable(NamedTuple):
 
 
 class BuiltFromTable:
-    """A field of a table-built value object, built from its ``_table`` on
-    first read (``Instance.messages``, ``Schedule.trajectories``).
+    """A field of a table-built value object, built by ``build(obj)`` from
+    ``obj._table`` on first read (``Instance.messages``,
+    ``Schedule.trajectories``, ``RingInstance.messages``).
 
     A non-data descriptor: attribute lookup tries the instance dict first,
     so once the field is stored there (by ``__init__``, or by the first
@@ -94,10 +95,9 @@ class BuiltFromTable:
     def __get__(self, obj: Any, owner: type | None = None) -> Any:
         if obj is None:
             return ()  # the dataclass field's default
-        table = obj.__dict__.get("_table")
-        if table is None:
+        if "_table" not in obj.__dict__:
             raise AttributeError(self.name)
-        value = self.build(table)
+        value = self.build(obj)
         obj.__dict__[self.name] = value
         return value
 
@@ -134,7 +134,7 @@ class Instance:
 
     n: int
     messages: tuple[Message, ...] = BuiltFromTable(  # type: ignore[assignment]
-        MessageTable.to_messages
+        lambda inst: inst._table.to_messages()
     )
     topology: str = "line"
     buffer_capacity: int | None = None

@@ -151,7 +151,7 @@ class Schedule:
     """An immutable, internally conflict-free set of trajectories."""
 
     trajectories: tuple[Trajectory, ...] = BuiltFromTable(  # type: ignore[assignment]
-        TrajectoryTable.to_trajectories
+        lambda sched: sched._table.to_trajectories()
     )
 
     def __post_init__(self) -> None:

@@ -52,11 +52,19 @@ built.  A schedule built from objects writes the same document.
 
 The dict-level functions here are the *line* documents; ring and mesh
 instances carry a ``"topology"`` discriminator and are handled by their
-topology's ``instance_to_dict`` / ``instance_from_dict``, which still
-read and write version 1 only.
+topology's ``instance_to_dict`` / ``instance_from_dict``.  Ring instances
+are version-2 columns as well, read through the helpers the line reader
+uses: :func:`instance_table` (the bulk read into a ``MessageTable``) and
+:func:`instance_rows` (the rows, or the columns zipped back into rows,
+for the row-by-row read that names what is wrong).  Ring schedules and
+mesh documents still read and write version 1 only.
 :func:`repro.api.parse_instance` is the one shared parse entrypoint
 (CLI, server, client); :func:`load_instance` routes through it, so files
 of any topology load transparently.
+
+A version-1 row that is not an object, and a ``crossings`` or
+``hop_times`` field that is not an array, raise ``ValueError`` naming the
+row, as every other malformed document does.
 """
 
 from __future__ import annotations
@@ -74,7 +82,11 @@ from .core.schedule import Schedule, TrajectoryTable
 
 __all__ = [
     "wire_int",
+    "wire_int_array",
     "wire_message_row",
+    "check_row_object",
+    "instance_table",
+    "instance_rows",
     "plain_message_rows",
     "message_row",
     "instance_to_dict",
@@ -135,27 +147,53 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
     int or a row or column is missing or malformed, so errors are the
     loop's own.
     """
+    plain = instance_table(data)
+    if plain is not None:
+        n, table, cap = plain
+        return Instance.from_table(n, table, buffer_capacity=cap)
+    return _instance_from_rows(data)
+
+
+def instance_table(data: dict[str, Any]) -> tuple[int, MessageTable, int | None] | None:
+    """``(n, messages, buffer_capacity)`` of an instance document of
+    version 1 or 2, read in bulk; the header is checked first.
+
+    ``None`` unless every message value, ``n`` and the capacity (when
+    present) are plain ints and the rows or columns are well formed; the
+    caller then reads the rows one by one (:func:`instance_rows`), which
+    raises the error that fits.  Shared by the line and ring readers.
+    """
     version = _check_header(data, _INSTANCE_FORMAT, latest=_VERSION)
-    messages = data.get("messages")
-    table = None
-    if version == 1:
-        values = plain_message_rows(messages)
-        if values is not None:
-            table = MessageTable(*zip(*values)) if values else MessageTable.of(())
-    else:
-        columns = _column_lists(messages, _MESSAGE_FIELDS)
-        if columns is not None and set(map(type, chain.from_iterable(columns))) <= {int}:
-            table = MessageTable(*map(tuple, columns))
     n = data.get("n")
     cap = data.get("buffer_capacity")
-    if table is not None and type(n) is int and (cap is None or type(cap) is int):
-        return Instance.from_table(n, table, buffer_capacity=cap)
+    if type(n) is not int or not (cap is None or type(cap) is int):
+        return None
+    messages = data.get("messages")
     if version == 1:
-        _check_row_array(data, "messages", "instance")
-    else:
-        rows = _column_rows(data, "messages", _MESSAGE_FIELDS, "instance")
-        data = {**data, "messages": [dict(zip(_MESSAGE_FIELDS, row)) for row in rows]}
-    return _instance_from_rows(data)
+        values = plain_message_rows(messages)
+        if values is None:
+            return None
+        return n, MessageTable(*zip(*values)) if values else MessageTable.of(()), cap
+    columns = _column_lists(messages, _MESSAGE_FIELDS)
+    if columns is None or not set(map(type, chain.from_iterable(columns))) <= {int}:
+        return None
+    return n, MessageTable(*map(tuple, columns)), cap
+
+
+def instance_rows(data: dict[str, Any], what: str) -> list[Any]:
+    """The message rows of a header-checked instance document, for the
+    row-by-row read: a version-1 array as it is, version-2 columns zipped
+    back into row objects.
+
+    Raises ``ValueError`` when the table is no array (version 1) or its
+    columns cannot be zipped (version 2); ``KeyError`` when a version-1
+    document has no ``messages``, for the caller to report.
+    """
+    if data.get("version") != 2:
+        _check_row_array(data, "messages", what)
+        return data["messages"]
+    rows = _column_rows(data, "messages", _MESSAGE_FIELDS, what)
+    return [dict(zip(_MESSAGE_FIELDS, row)) for row in rows]
 
 
 def _check_row_array(data: dict[str, Any], key: str, what: str) -> None:
@@ -238,7 +276,7 @@ def _instance_from_rows(data: dict[str, Any]) -> Instance:
     try:
         messages = tuple(
             Message(*wire_message_row(row, f"message at row {i}"))
-            for i, row in enumerate(data["messages"])
+            for i, row in enumerate(instance_rows(data, "instance"))
         )
         n = wire_int(data["n"], "n", "instance")
         cap = data.get("buffer_capacity")
@@ -253,9 +291,10 @@ def wire_message_row(row: dict[str, Any], where: str) -> tuple[int, int, int, in
     """``(id, source, dest, release, deadline)`` of one message row, each
     through :func:`wire_int`; ``where`` names the row until its id is known.
 
-    A missing key raises ``KeyError`` for the caller to report.
+    A row that is no object raises ``ValueError``; a missing key raises
+    ``KeyError`` for the caller to report.
     """
-    mid = wire_int(row["id"], "id", where)
+    mid = wire_int(check_row_object(row, where)["id"], "id", where)
     owner = f"message {mid}"
     return (
         mid,
@@ -359,50 +398,52 @@ def _plain_trajectory_columns(columns: Any) -> TrajectoryTable | None:
 def _trajectory_table_from_rows(data: dict[str, Any]) -> TrajectoryTable:
     """The row-by-row reference read: each field through :func:`wire_int`."""
     try:
-        # One flat row per trajectory: message_id, source, *crossings.
         rows = [
-            (row["message_id"], row["source"], *row["crossings"])
-            for row in data["trajectories"]
+            _trajectory_values(check_row_object(row, f"trajectory at row {i}"))
+            for i, row in enumerate(data["trajectories"])
         ]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in schedule data") from exc
-    return _trajectory_table([_checked_trajectory_row(i, row) for i, row in enumerate(rows)])
+    return _checked_trajectory_table(rows)
 
 
 def _trajectory_table_from_columns(data: dict[str, Any]) -> TrajectoryTable:
-    """The version-2 error path: the columns zipped back into flat rows,
-    each checked as the row-by-row read checks it."""
-    rows = []
-    for i, (mid, source, crossings) in enumerate(
+    """The version-2 error path: the columns zipped back into rows, each
+    checked as the row-by-row read checks it."""
+    return _checked_trajectory_table(
         _column_rows(data, "trajectories", _TRAJECTORY_FIELDS, "schedule")
-    ):
-        if not isinstance(crossings, list):
-            mid = wire_int(mid, "message_id", f"trajectory at row {i}")
-            raise ValueError(
-                f"trajectory for message {mid}: field 'crossings' must be an "
-                f"array of integers, got {crossings!r}"
-            )
-        rows.append(_checked_trajectory_row(i, (mid, source, *crossings)))
-    return _trajectory_table(rows)
-
-
-def _trajectory_table(rows: list[tuple[int, ...]]) -> TrajectoryTable:
-    """Checked flat ``(message_id, source, *crossings)`` rows as columns."""
-    return TrajectoryTable(
-        tuple(map(itemgetter(0), rows)),
-        tuple(map(itemgetter(1), rows)),
-        tuple(row[2:] for row in rows),
     )
 
 
-def _checked_trajectory_row(index: int, row: tuple[Any, ...]) -> tuple[int, ...]:
-    mid = wire_int(row[0], "message_id", f"trajectory at row {index}")
-    owner = f"trajectory for message {mid}"
-    return (
-        mid,
-        wire_int(row[1], "source", owner),
-        *(wire_int(t, "crossings", owner) for t in row[2:]),
-    )
+def _checked_trajectory_table(rows: list[tuple[Any, Any, Any]]) -> TrajectoryTable:
+    """``(message_id, source, crossings)`` rows, every field through
+    :func:`wire_int`, as columns."""
+    ids, sources, crossings = [], [], []
+    for i, (mid, source, times) in enumerate(rows):
+        mid = wire_int(mid, "message_id", f"trajectory at row {i}")
+        owner = f"trajectory for message {mid}"
+        ids.append(mid)
+        sources.append(wire_int(source, "source", owner))
+        crossings.append(wire_int_array(times, "crossings", owner))
+    return TrajectoryTable(tuple(ids), tuple(sources), tuple(crossings))
+
+
+def check_row_object(row: Any, where: str) -> dict[str, Any]:
+    """``row`` itself when it is an object; ``ValueError`` naming ``where``
+    otherwise."""
+    if not isinstance(row, dict):
+        raise ValueError(f"{where} must be an object, got {type(row).__name__}")
+    return row
+
+
+def wire_int_array(values: Any, field: str, owner: str) -> tuple[int, ...]:
+    """An array field of integers (crossing or hop times), each through
+    :func:`wire_int`; anything but an array raises ``ValueError``."""
+    if not isinstance(values, list):
+        raise ValueError(
+            f"{owner}: field {field!r} must be an array of integers, got {values!r}"
+        )
+    return tuple(wire_int(t, field, owner) for t in values)
 
 
 def save_instance(instance: Any, path: str | Path) -> None:

@@ -13,7 +13,19 @@ by ``(v - t) mod n``.  On one helix exactly one link slot exists per time
 step, so two trajectories on the same helix conflict iff their
 ``[depart, arrive)`` time intervals overlap — per-helix scheduling is
 interval scheduling on the *time* axis, which is what :func:`ring_bfl`
-exploits.
+exploits: taking candidates in arrival order, it keeps one int per helix
+(the end of the latest interval chosen there) as its whole slot state.
+:class:`RingSchedule` checks the same way, sorting each helix's intervals
+and comparing neighbours; only a schedule that fails that check, or holds
+a buffered trajectory, runs the per-slot loop that names the conflict.
+
+Like the line's :class:`~repro.core.instance.Instance`, a
+:class:`RingInstance` holds its messages as int columns first
+(:attr:`RingInstance.table`, checked in bulk by
+:meth:`RingInstance.from_table`); the wire reader and ``ring_bfl`` use
+only the columns, and ``RingMessage`` objects are built the first time
+``messages`` is read.  Ring instance documents are version-2 columns;
+ring schedule documents stay version-1 rows.
 
 This module is the home of everything ring-shaped: the data model, the
 helix greedy, the buffered trajectory shape and the :class:`Ring`
@@ -23,8 +35,12 @@ topology object that plugs it all into the registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from heapq import heapify, heappop, heapreplace
+from itertools import chain, repeat
+from operator import add, and_, attrgetter, eq, lt, mod, sub
+from typing import Any, Iterable, Iterator, Sequence
 
+from ..core.instance import BuiltFromTable, MessageTable
 from .base import Topology, register_topology
 
 __all__ = [
@@ -83,16 +99,27 @@ class RingMessage:
         return (self.source - depart) % self.n
 
 
+def _ring_messages(n: int, table: MessageTable) -> tuple[RingMessage, ...]:
+    """The rows of ``table`` as ``n``-node :class:`RingMessage` objects
+    (each runs its validator)."""
+    return tuple(map(RingMessage, *table, repeat(n)))
+
+
 @dataclass(frozen=True)
 class RingInstance:
     """A set of clockwise messages on one ring.
 
     ``buffer_capacity`` mirrors :class:`repro.core.instance.Instance`:
-    ``None`` (the default) is the unbounded setting.
+    ``None`` (the default) is the unbounded setting.  So do the two forms
+    of the messages: :attr:`table` holds five int columns,
+    :meth:`from_table` validates them in bulk, and ``messages`` is built
+    from them on first read.
     """
 
     n: int
-    messages: tuple[RingMessage, ...] = field(default_factory=tuple)
+    messages: tuple[RingMessage, ...] = BuiltFromTable(  # type: ignore[assignment]
+        lambda inst: _ring_messages(inst.n, inst._table)
+    )
     buffer_capacity: int | None = None
 
     #: Registry key consumed by :func:`repro.topology.topology_of`.
@@ -110,17 +137,58 @@ class RingInstance:
                 raise ValueError(f"duplicate message id {m.id}")
             seen.add(m.id)
 
+    @classmethod
+    def from_table(
+        cls, n: int, table: MessageTable, *, buffer_capacity: int | None = None
+    ) -> "RingInstance":
+        """A ring instance over ``table``'s int columns.
+
+        A ring message passes the line's row checks
+        (:meth:`MessageTable.valid_on_line`), so those and ``n >= 3`` are
+        the bulk check; ``messages`` is built the first time it is read.
+        A table that fails goes through the object-built constructor,
+        which raises the same ``ValueError`` it would for those messages.
+        """
+        capacity_ok = buffer_capacity is None or (
+            type(buffer_capacity) is int and buffer_capacity >= 0
+        )
+        if not (n >= 3 and capacity_ok and table.valid_on_line(n)):
+            return cls(n, _ring_messages(n, table), buffer_capacity)
+        inst = object.__new__(cls)
+        inst.__dict__.update(n=n, buffer_capacity=buffer_capacity, _table=table)
+        return inst
+
+    @property
+    def table(self) -> MessageTable:
+        """The messages as int columns (derived once for object-built
+        instances)."""
+        table = self.__dict__.get("_table")
+        if table is None:
+            table = MessageTable.of(self.messages)
+            object.__setattr__(self, "_table", table)
+        return table
+
+    def __getstate__(self) -> dict[str, Any]:
+        # As Instance: pickle one form of the messages only.
+        state = self.__dict__
+        if "messages" in state and "_table" in state:
+            state = {k: v for k, v in state.items() if k != "_table"}
+        return state
+
     def __len__(self) -> int:
-        return len(self.messages)
+        messages = self.__dict__.get("messages")
+        return len(messages) if messages is not None else len(self.table.id)
 
     def __iter__(self) -> Iterator[RingMessage]:
         return iter(self.messages)
 
     def __getitem__(self, message_id: int) -> RingMessage:
-        for m in self.messages:
-            if m.id == message_id:
-                return m
-        raise KeyError(message_id)
+        """Look up a message by id; ``KeyError`` if there is none."""
+        cache = self.__dict__.get("_by_id")
+        if cache is None:
+            cache = {m.id: m for m in self.messages}
+            object.__setattr__(self, "_by_id", cache)
+        return cache[message_id]
 
     @property
     def horizon(self) -> int:
@@ -167,26 +235,81 @@ class BufferedRingTrajectory(RingTrajectory):
             yield ((self.source + i) % self.n, t)
 
 
+_ring_fields = attrgetter("message_id", "source", "depart", "span", "n")
+
+
+def _disjoint_helices(trajectories: Sequence[RingTrajectory]) -> bool:
+    """The per-helix bulk check of :class:`RingSchedule`.
+
+    ``True`` only when the rows are conflict-free: every row a bufferless
+    :class:`RingTrajectory` of int fields on one ring of ``n >= 1``
+    nodes, no id repeated, and no two ``[depart, arrive)`` intervals
+    overlapping on one helix.  Slot ``(link, t)`` lies on helix
+    ``(link - t) mod n``, so two rows share a slot iff they share a helix
+    and a time step.  ``False`` leaves the verdict to the per-slot loop.
+    A row with ``span <= 0`` holds no slot: it can send a valid schedule
+    to the loop, but it cannot hide an overlap from the neighbour test.
+    """
+    if not trajectories:
+        return True
+    if set(map(type, trajectories)) != {RingTrajectory}:
+        return False
+    ids, sources, departs, spans, ns = zip(*map(_ring_fields, trajectories))
+    n = ns[0]
+    if not (
+        set(map(type, chain(ids, sources, departs, spans, ns))) == {int}
+        and ns.count(n) == len(ns)
+        and n >= 1
+        and len(set(ids)) == len(ids)
+    ):
+        return False
+    # One (helix, depart, arrive) interval per row, sorted: with each
+    # helix's intervals in time order, two overlap somewhere iff some
+    # interval departs before its predecessor on that helix arrives.
+    helix, depart, arrive = zip(
+        *sorted(
+            zip(
+                map(mod, map(sub, sources, departs), repeat(n)),
+                departs,
+                map(add, departs, spans),
+            )
+        )
+    )
+    return not any(map(and_, map(eq, helix[1:], helix), map(lt, depart[1:], arrive)))
+
+
+def _claim_slots(trajectories: Iterable[RingTrajectory]) -> None:
+    """The per-slot check, in order: raises ``ValueError`` naming the first
+    repeated message id or the first ``(link, time)`` slot claimed twice."""
+    owner: dict[tuple[int, int], int] = {}
+    ids: set[int] = set()
+    for traj in trajectories:
+        if traj.message_id in ids:
+            raise ValueError(f"message {traj.message_id} scheduled twice")
+        ids.add(traj.message_id)
+        for slot in traj.edges():
+            if slot in owner:
+                raise ValueError(
+                    f"messages {owner[slot]} and {traj.message_id} share "
+                    f"link {slot[0]} at time {slot[1]}"
+                )
+            owner[slot] = traj.message_id
+
+
 @dataclass(frozen=True)
 class RingSchedule:
-    """A conflict-free set of ring trajectories."""
+    """A conflict-free set of ring trajectories.
+
+    The constructor runs the per-helix bulk check; only a schedule that
+    fails it, or holds a :class:`BufferedRingTrajectory`, runs the
+    per-slot loop, so a rejected schedule raises the same error either way.
+    """
 
     trajectories: tuple[RingTrajectory, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        owner: dict[tuple[int, int], int] = {}
-        ids: set[int] = set()
-        for traj in self.trajectories:
-            if traj.message_id in ids:
-                raise ValueError(f"message {traj.message_id} scheduled twice")
-            ids.add(traj.message_id)
-            for slot in traj.edges():
-                if slot in owner:
-                    raise ValueError(
-                        f"messages {owner[slot]} and {traj.message_id} share "
-                        f"link {slot[0]} at time {slot[1]}"
-                    )
-                owner[slot] = traj.message_id
+        if not _disjoint_helices(self.trajectories):
+            _claim_slots(self.trajectories)
 
     @property
     def throughput(self) -> int:
@@ -247,37 +370,52 @@ def ring_bfl(instance: RingInstance) -> RingSchedule:
 
     Candidates are enumerated per message over its departure window and
     processed in order of arrival time (ties: nearest destination — i.e.
-    smallest span — then id), scheduling whenever every (link, step) slot
-    on the trajectory is still free.  Throughput is at least half of the
-    bufferless optimum.  On instances that never wrap (all traffic inside
-    an arc), the greedy coincides with Algorithm BFL applied to the
-    corresponding line instance.
-    """
-    candidates: list[tuple[int, int, int, RingTrajectory]] = []
-    for m in instance:
-        if not m.feasible:
-            continue
-        for depart in range(m.release, m.latest_departure + 1):
-            traj = RingTrajectory(
-                message_id=m.id,
-                source=m.source,
-                depart=depart,
-                span=m.span,
-                n=instance.n,
-            )
-            candidates.append((traj.arrive, m.span, m.id, traj))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3].depart))
+    smallest span — then id, then departure), scheduling whenever every
+    (link, step) slot on the trajectory is still free.  Throughput is at
+    least half of the bufferless optimum.  On instances that never wrap
+    (all traffic inside an arc), the greedy coincides with Algorithm BFL
+    applied to the corresponding line instance.
 
-    occupied: set[tuple[int, int]] = set()
+    The slot test needs one int per helix.  A candidate departing at
+    ``depart`` holds the time interval ``[depart, arrive)`` on helix
+    ``(source - depart) mod n``, and two trajectories share a slot iff
+    they share a helix and their intervals overlap.  Candidates come in
+    non-decreasing arrival order, so every interval already chosen on the
+    candidate's helix ends no later than the candidate does, and it
+    overlaps the candidate iff it ends after ``depart``.  With ``end[h]``
+    the latest arrival chosen on helix ``h``, every slot is free iff
+    ``depart >= end[h]``.
+
+    A message's candidates are its departures in increasing order, so the
+    global candidate order is a merge of one sorted stream per message: a
+    heap holds each unscheduled message's next candidate, and a message
+    leaves the heap once it is scheduled or out of departures.  The
+    greedy reads the instance's int columns (:attr:`RingInstance.table`)
+    and builds a :class:`RingTrajectory` only for each chosen message.
+    """
+    n = instance.n
+    # (arrive, span, id, depart, source, deadline): ids are unique, so the
+    # entries order by (arrive, span, id, depart).
+    heap = []
+    for mid, source, dest, release, deadline in zip(*instance.table):
+        span = (dest - source) % n
+        if release + span <= deadline:  # infeasible messages have none
+            heap.append((release + span, span, mid, release, source, deadline))
+    heapify(heap)
+
+    end = [0] * n  # per helix: the latest arrival chosen on it
     scheduled: dict[int, RingTrajectory] = {}
-    for _, _, mid, traj in candidates:
-        if mid in scheduled:
-            continue
-        slots = list(traj.edges())
-        if any(slot in occupied for slot in slots):
-            continue
-        occupied.update(slots)
-        scheduled[mid] = traj
+    while heap:
+        arrive, span, mid, depart, source, deadline = heap[0]
+        helix = (source - depart) % n
+        if depart >= end[helix]:
+            end[helix] = arrive
+            scheduled[mid] = RingTrajectory(mid, source, depart, span, n)
+            heappop(heap)
+        elif arrive < deadline:  # the message's next departure
+            heapreplace(heap, (arrive + 1, span, mid, depart + 1, source, deadline))
+        else:
+            heappop(heap)
     return RingSchedule(tuple(scheduled.values()))
 
 
@@ -419,14 +557,15 @@ class Ring(Topology):
         }
 
     def schedule_from_dict(self, data: dict[str, Any]) -> RingSchedule:
-        from ..io import _check_header, wire_int
+        from ..io import _check_header, check_row_object, wire_int, wire_int_array
 
         _check_header(data, "repro-ring-schedule")
         n = data.get("n")  # None on an empty schedule
         trajectories: list[RingTrajectory] = []
         try:
             for i, row in enumerate(data["trajectories"]):
-                mid = wire_int(row["message_id"], "message_id", f"trajectory at row {i}")
+                where = f"trajectory at row {i}"
+                mid = wire_int(check_row_object(row, where)["message_id"], "message_id", where)
                 owner = f"trajectory for message {mid}"
                 fields = {
                     "message_id": mid,
@@ -439,9 +578,7 @@ class Ring(Topology):
                     trajectories.append(
                         BufferedRingTrajectory(
                             **fields,
-                            hop_times=tuple(
-                                wire_int(t, "hop_times", owner) for t in row["hop_times"]
-                            ),
+                            hop_times=wire_int_array(row["hop_times"], "hop_times", owner),
                         )
                     )
                 else:
@@ -451,36 +588,22 @@ class Ring(Topology):
         return RingSchedule(tuple(trajectories))  # re-validates slot-disjointness
 
     def instance_to_dict(self, instance: Any) -> dict[str, Any]:
-        out = {
-            "format": "repro-instance",
-            "version": 1,
-            "topology": "ring",
-            "n": instance.n,
-            "messages": [
-                {
-                    "id": m.id,
-                    "source": m.source,
-                    "dest": m.dest,
-                    "release": m.release,
-                    "deadline": m.deadline,
-                }
-                for m in instance
-            ],
-        }
-        cap = getattr(instance, "buffer_capacity", None)
-        if cap is not None:
-            out["buffer_capacity"] = cap
-        return out
+        from ..io import instance_to_dict
+
+        return {**instance_to_dict(instance), "topology": "ring"}
 
     def instance_from_dict(self, data: dict[str, Any]) -> RingInstance:
-        from ..io import _check_header, wire_int, wire_message_row
+        from ..io import instance_rows, instance_table, wire_int, wire_message_row
 
-        _check_header(data, "repro-instance")
+        plain = instance_table(data)
+        if plain is not None:
+            n, table, cap = plain
+            return RingInstance.from_table(n, table, buffer_capacity=cap)
         try:
             n = wire_int(data["n"], "n", "ring instance")
             messages = tuple(
                 RingMessage(*wire_message_row(row, f"message at row {i}"), n=n)
-                for i, row in enumerate(data["messages"])
+                for i, row in enumerate(instance_rows(data, "ring instance"))
             )
         except KeyError as exc:
             raise ValueError(f"missing field {exc} in ring instance data") from exc

@@ -200,6 +200,16 @@ class TestSolve:
         [
             ('{"format": "repro-instance", "version": 1, "n": 8}', "missing field 'messages'"),
             ("{not json", "not valid JSON"),
+            (
+                '{"format": "repro-instance", "version": 1, "n": 4, "messages": [7]}',
+                "message at row 0 must be an object, got int",
+            ),
+            (
+                '{"format": "repro-instance", "version": 1, "topology": "ring", "n": 4, '
+                '"messages": [{"id": 0, "source": 0, "dest": 1, "release": 0, '
+                '"deadline": 3}, "row"]}',
+                "message at row 1 must be an object, got str",
+            ),
         ],
     )
     def test_malformed_document_is_one_line_error(self, capsys, tmp_path, text, match):

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import pickle
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from repro.io import (
     schedule_to_dict,
     wire_int,
 )
-from repro.topology import topology_of
+from repro.topology import get_topology, topology_of
 from repro.trace import WorkloadTrace
 from repro.workloads.meshes import random_mesh_instance
 from repro.workloads.rings import random_ring_instance
@@ -128,6 +127,52 @@ def _v1_schedule(rows):
     return {"format": "repro-schedule", "version": 1, "trajectories": rows}
 
 
+class TestMalformedRows:
+    """A version-1 row or array field of the wrong JSON type is a
+    ``ValueError`` naming its row, like every other malformed document."""
+
+    @pytest.mark.parametrize("topology", ["line", "ring"])
+    @pytest.mark.parametrize(
+        "row,kind", [(7, "int"), ([0, 1, 2, 0, 3], "list"), (None, "NoneType")]
+    )
+    def test_message_row_that_is_no_object(self, topology, row, kind):
+        doc = _doc([_row(), row], topology=topology)
+        with pytest.raises(ValueError, match=f"^message at row 1 must be an object, got {kind}$"):
+            api.parse_instance(doc)
+
+    def test_line_crossings_that_are_no_array(self):
+        doc = _v1_schedule([{"message_id": 5, "source": 1, "crossings": 5}])
+        with pytest.raises(
+            ValueError,
+            match="^trajectory for message 5: field 'crossings' must be an array of "
+            "integers, got 5$",
+        ):
+            schedule_from_dict(doc)
+
+    def test_line_trajectory_row_that_is_no_object(self):
+        with pytest.raises(ValueError, match="^trajectory at row 0 must be an object, got int$"):
+            schedule_from_dict(_v1_schedule([3]))
+
+    def _ring_schedule(self, rows):
+        return {"format": "repro-ring-schedule", "version": 1, "n": 5, "trajectories": rows}
+
+    def test_ring_trajectory_row_that_is_no_object(self):
+        with pytest.raises(ValueError, match="^trajectory at row 0 must be an object, got int$"):
+            get_topology("ring").schedule_from_dict(self._ring_schedule([3]))
+
+    def test_ring_hop_times_that_are_no_array(self):
+        row = {"message_id": 2, "source": 1, "depart": 0, "span": 2, "hop_times": 5}
+        with pytest.raises(
+            ValueError,
+            match="^trajectory for message 2: field 'hop_times' must be an array of "
+            "integers, got 5$",
+        ):
+            get_topology("ring").schedule_from_dict(self._ring_schedule([row]))
+        row["hop_times"] = [0, 2]
+        sched = get_topology("ring").schedule_from_dict(self._ring_schedule([row]))
+        assert sched.trajectories[0].hop_times == (0, 2)
+
+
 class TestWireIntegers:
     """Every integer field rejects bools, strings and fractional floats."""
 
@@ -176,7 +221,13 @@ class TestWireIntegers:
             inst = random_mesh_instance(np.random.default_rng(3), rows=4, cols=4, k=10)
             key = "turn_wait"
         doc = topology_of(inst).instance_to_dict(inst)
-        doc["messages"][0]["release"] += 0.5
+        if shape == "ring":  # version-2 columns, and their version-1 twin
+            doc["messages"]["release"][0] += 0.5
+            rows = [dict(zip(doc["messages"], row)) for row in zip(*doc["messages"].values())]
+            with pytest.raises(ValueError, match="field 'release' must be an integer"):
+                api.parse_instance({**doc, "version": 1, "messages": rows})
+        else:
+            doc["messages"][0]["release"] += 0.5
         with pytest.raises(ValueError, match="field 'release' must be an integer"):
             api.parse_instance(doc)
         result = api.solve(inst, "bufferless", "bfl").to_dict()
@@ -288,26 +339,26 @@ def _reference_schedule_from_dict(data):
     if not isinstance(data, dict) or data.get("format") != "repro-schedule":
         raise ValueError("bad header")
     try:
-        rows = [
-            (row["message_id"], row["source"], *row["crossings"])
-            for row in data["trajectories"]
-        ]
+        rows = []
+        for i, row in enumerate(data["trajectories"]):
+            if not isinstance(row, dict):
+                raise ValueError(
+                    f"trajectory at row {i} must be an object, got {type(row).__name__}"
+                )
+            rows.append((row["message_id"], row["source"], row["crossings"]))
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in schedule data") from exc
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        checked = []
-        for i, row in enumerate(rows):
-            mid = wire_int(row[0], "message_id", f"trajectory at row {i}")
-            owner = f"trajectory for message {mid}"
-            checked.append(
-                (
-                    mid,
-                    wire_int(row[1], "source", owner),
-                    *(wire_int(t, "crossings", owner) for t in row[2:]),
-                )
+    checked = []
+    for i, (mid, source, crossings) in enumerate(rows):
+        mid = wire_int(mid, "message_id", f"trajectory at row {i}")
+        owner = f"trajectory for message {mid}"
+        source = wire_int(source, "source", owner)
+        if not isinstance(crossings, list):
+            raise ValueError(
+                f"{owner}: field 'crossings' must be an array of integers, got {crossings!r}"
             )
-        rows = checked
-    return Schedule(tuple(Trajectory(row[0], row[1], row[2:]) for row in rows))
+        checked.append((mid, source, *(wire_int(t, "crossings", owner) for t in crossings)))
+    return Schedule(tuple(Trajectory(row[0], row[1], row[2:]) for row in checked))
 
 
 _small_ints = st.integers(0, 6)

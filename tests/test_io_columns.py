@@ -5,7 +5,9 @@
 * a version-2 document that fails the bulk check is zipped back into rows,
   so its error names the same message and field as the row read's;
 * columns of unequal length are refused, never truncated;
-* ring and mesh documents still accept version 1 only;
+* ring instance documents are columns too, read through the same helpers
+  (so their errors are the row read's); ring schedule and mesh documents
+  still accept version 1 only;
 * documents written before version 2 (``tests/data/v1``) load to the same
   objects as their version-2 re-encodings.
 """
@@ -31,8 +33,11 @@ from repro.io import (
     message_row,
     schedule_from_dict,
     schedule_to_dict,
+    wire_int,
+    wire_message_row,
 )
-from repro.topology import topology_of
+from repro.topology import get_topology, topology_of
+from repro.topology.ring import RingInstance, RingMessage
 from repro.workloads.meshes import random_mesh_instance
 from repro.workloads.rings import random_ring_instance
 
@@ -196,6 +201,39 @@ _wire_values = st.one_of(
 )
 
 
+@st.composite
+def ring_instances(draw):
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(0, 10))
+    ids = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True))
+    messages = []
+    for mid in ids:
+        source = draw(st.integers(0, n - 1))
+        dest = (source + draw(st.integers(1, n - 1))) % n
+        release = draw(st.integers(0, 15))
+        deadline = release + draw(st.integers(0, 15))
+        messages.append(RingMessage(mid, source, dest, release, deadline, n))
+    capacity = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return RingInstance(n, tuple(messages), buffer_capacity=capacity)
+
+
+def _reference_ring_instance(data):
+    """The ring reader as it was before ring documents had columns: one
+    checked ``RingMessage`` per row of a version-1 document."""
+    try:
+        n = wire_int(data["n"], "n", "ring instance")
+        messages = tuple(
+            RingMessage(*wire_message_row(row, f"message at row {i}"), n=n)
+            for i, row in enumerate(data["messages"])
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc} in ring instance data") from exc
+    cap = data.get("buffer_capacity")
+    return RingInstance(
+        n, messages, None if cap is None else wire_int(cap, "buffer_capacity", "ring instance")
+    )
+
+
 class TestRowsAndColumnsAgree:
     @settings(max_examples=300, deadline=None)
     @given(line_instances())
@@ -258,6 +296,38 @@ class TestRowsAndColumnsAgree:
         assert _outcome(schedule_from_dict, _v2_schedule(doc)) == _outcome(
             schedule_from_dict, doc
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(ring_instances())
+    def test_ring_instances(self, inst):
+        doc = json.loads(json.dumps(topology_of(inst).instance_to_dict(inst)))
+        rows, columns = api.parse_instance(_v1_instance(doc)), api.parse_instance(doc)
+        assert rows == columns == inst
+        assert rows.table == columns.table == inst.table
+        assert rows.buffer_capacity == columns.buffer_capacity == inst.buffer_capacity
+        assert topology_of(columns).instance_to_dict(columns) == doc
+        # an integral float sends the document down the row-by-row read
+        assert api.parse_instance({**doc, "n": float(inst.n)}) == inst
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.fixed_dictionaries({f: _wire_values for f in MESSAGE_FIELDS}), max_size=5
+        ),
+        st.one_of(st.integers(0, 9), st.sampled_from([8.0, "8", True])),
+        st.one_of(st.none(), st.integers(-1, 2), st.sampled_from([1.0, 1.5, True])),
+    )
+    def test_ring_instance_errors(self, rows, n, cap):
+        doc = {"format": "repro-instance", "version": 1, "topology": "ring"}
+        doc.update(n=n, messages=rows)
+        if cap is not None:
+            doc["buffer_capacity"] = cap
+        old = _outcome(api.parse_instance, doc)
+        assert _outcome(api.parse_instance, _v2_instance(doc)) == old
+        if old[0] == "ok":
+            assert old[1] == _reference_ring_instance(doc)
+        else:
+            assert _outcome(_reference_ring_instance, doc) == old
 
     def test_solved_schedules(self):
         rng = np.random.default_rng(5)
@@ -448,20 +518,34 @@ class TestVersions:
         with pytest.raises(ValueError, match="must be an array of objects"):
             schedule_from_dict({**_schedule_doc(), "version": 1})
 
-    def test_ring_and_mesh_documents_stay_version_1(self):
-        ring = random_ring_instance(np.random.default_rng(7), n=8, k=10)
-        mesh = random_mesh_instance(np.random.default_rng(3), rows=4, cols=4, k=10)
-        for inst in (ring, mesh):
-            topo = topology_of(inst)
-            doc = topo.instance_to_dict(inst)
-            assert doc["version"] == 1
-            assert api.parse_instance(json.dumps(doc)) == inst
-            with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 1\)"):
-                api.parse_instance({**doc, "version": 2})
-            sched = topo.schedule_to_dict(api.solve(inst, "bufferless", "bfl").schedule)
-            assert sched["version"] == 1
-            with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 1\)"):
-                topo.schedule_from_dict({**sched, "version": 2})
+    def test_mesh_documents_stay_version_1(self):
+        inst = random_mesh_instance(np.random.default_rng(3), rows=4, cols=4, k=10)
+        topo = topology_of(inst)
+        doc = topo.instance_to_dict(inst)
+        assert doc["version"] == 1
+        assert api.parse_instance(json.dumps(doc)) == inst
+        with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 1\)"):
+            api.parse_instance({**doc, "version": 2})
+        sched = topo.schedule_to_dict(api.solve(inst, "bufferless", "bfl").schedule)
+        assert sched["version"] == 1
+        with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 1\)"):
+            topo.schedule_from_dict({**sched, "version": 2})
+
+    def test_ring_instances_are_version_2_and_schedules_version_1(self):
+        inst = random_ring_instance(np.random.default_rng(7), n=8, k=10)
+        topo = topology_of(inst)
+        doc = topo.instance_to_dict(inst)
+        assert doc["version"] == 2 and doc["topology"] == "ring"
+        assert set(doc["messages"]) == set(MESSAGE_FIELDS)
+        assert api.parse_instance(json.dumps(doc)) == inst
+        assert api.parse_instance(json.dumps(_v1_instance(doc))) == inst
+        for version in (0, 3, "2", None):
+            with pytest.raises(ValueError, match=r"unsupported version .* \(supported: 1\.\.2\)"):
+                api.parse_instance({**doc, "version": version})
+        sched = topo.schedule_to_dict(api.solve(inst, "bufferless", "bfl").schedule)
+        assert sched["version"] == 1
+        with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 1\)"):
+            topo.schedule_from_dict({**sched, "version": 2})
 
 
 # --------------------------------------------------------------------- #
@@ -514,6 +598,18 @@ class TestVersion1Fixtures:
         assert again.summary() == old.summary()
         inst = api.parse_instance(_load("instance.json"))
         assert old.schedule == api.solve(inst, regime, method).schedule
+
+    def test_ring_instance(self):
+        doc = _load("ring_instance.json")
+        assert doc["version"] == 1 and isinstance(doc["messages"], list)
+        old = api.parse_instance(doc)
+        again = api.parse_instance(json.dumps(topology_of(old).instance_to_dict(old)))
+        assert again == old and again.table == old.table
+        assert len(old) == len(doc["messages"])
+        ring = get_topology("ring")
+        want = ring.schedule_from_dict(_load("ring_schedule_bfl.json"))
+        for inst in (old, again):
+            assert api.solve(inst, "bufferless", "bfl").schedule == want
 
     def test_buffered_fixture_waits(self):
         # the greedy fixture holds trajectories that wait at a node, so the
