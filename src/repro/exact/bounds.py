@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ..core.instance import Instance
+from ..errors import SolverBackendError
 
 __all__ = ["feasible_count_bound", "cut_upper_bound", "bufferless_lp_bound"]
 
@@ -91,21 +92,20 @@ def _edf_pack(windows: list[tuple[int, int]]) -> int:
 
 def bufferless_lp_bound(instance: Instance) -> float:
     """LP relaxation of the bufferless assignment MILP (upper-bounds OPT_BL)."""
-    from .bufferless import _assignment_matrix  # imports this module
+    from .bufferless import _assignment_program  # imports this module
 
     work = instance.drop_infeasible().clipped_slack()
     msgs = list(work)
     if not msgs:
         return 0.0
-    a, _, _ = _assignment_matrix(msgs)
-    nrow, nvar = a.shape
+    program, _, _ = _assignment_program(msgs)
     res = linprog(
-        c=-np.ones(nvar),
-        A_ub=a,
-        b_ub=np.ones(nrow),
+        c=-program.objective,
+        A_ub=program.matrix(),
+        b_ub=np.ones(program.nrow),
         bounds=(0, 1),
         method="highs",
     )
     if res.x is None:
-        raise RuntimeError(f"LP relaxation failed: {res.message}")
+        raise SolverBackendError(f"LP relaxation failed: {res.message}")
     return float(-res.fun)

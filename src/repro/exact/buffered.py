@@ -15,22 +15,18 @@ Section 5: "making no attempt to limit the number of buffers").
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .. import obs
 from ..budget import SolverBudget
 from ..core.instance import Instance
 from ..core.message import Direction, Message
 from ..core.schedule import Schedule
 from ..core.trajectory import Trajectory
-from ..errors import BudgetExceeded, SolverBackendError
 from .bounds import cut_upper_bound
+from .milp import check_weights, solve, time_indexed
 
 __all__ = ["opt_buffered", "opt_buffered_bruteforce", "BufferedResult"]
 
@@ -56,17 +52,6 @@ def _lr_feasible(instance: Instance) -> list[Message]:
     return [m for m in instance if m.feasible]
 
 
-def _crossing_window(m: Message, v: int) -> range:
-    """Legal times for ``m`` to cross link ``(v, v+1)``.
-
-    Lower bound: the message cannot be past node ``v`` sooner than
-    ``release + (v - source)`` steps.  Upper bound: after crossing at ``t``
-    it still needs ``dest - v - 1`` further hops, so ``t + (dest - v) <=
-    deadline``.
-    """
-    return range(m.release + (v - m.source), m.deadline - (m.dest - v) + 1)
-
-
 def opt_buffered(
     instance: Instance,
     *,
@@ -76,18 +61,11 @@ def opt_buffered(
 ) -> BufferedResult:
     """Maximum-throughput buffered schedule via time-indexed MILP.
 
-    Constraint groups:
-
-    * **conservation** — for every message, each link of its span is crossed
-      the same number of times (0 or 1) as its first link;
-    * **precedence** — cumulative formulation: by any time ``t``, the number
-      of crossings of link ``v+1`` never exceeds the crossings of link ``v``
-      up to ``t - 1`` (a message must cross ``v`` strictly before ``v+1``);
-    * **capacity** — each (link, step) pair carries at most one message.
-
-    The objective maximises the number of first-link crossings, i.e.
-    delivered messages — or their total ``weights`` (message id -> positive
-    value, default 1) when given.
+    The conservation, precedence and capacity rows are
+    :func:`~repro.exact.milp.time_indexed`'s, with a message's ``h``-th
+    hop on link ``(source + h, source + h + 1)``.  The objective maximises
+    delivered messages — or their total ``weights`` (message id ->
+    positive value, default 1) when given.
 
     ``budget`` (a :class:`~repro.budget.SolverBudget`) maps onto the HiGHS
     ``time_limit``/``node_limit``; if it trips before optimality is proven
@@ -95,140 +73,31 @@ def opt_buffered(
     incumbent schedule and certified ``lower``/``upper`` bounds.  Backend
     failures raise :class:`~repro.errors.SolverBackendError`.
     """
-    if weights is not None:
-        for mid, w in weights.items():
-            if w <= 0:
-                raise ValueError(f"weight of message {mid} must be positive, got {w}")
-    tr = obs.tracer()
-    t0 = time.perf_counter() if tr.enabled else 0.0
+    check_weights(weights)
     msgs = _lr_feasible(instance)
     if not msgs:
         return BufferedResult(Schedule(), True)
+    values = [1.0 if weights is None else weights.get(m.id, 1.0) for m in msgs]
+    program, hop_times = time_indexed(msgs, lambda m, h: m.source + h, values)
 
-    # Variable table: y[(mi, v, t)] -> column index.
-    index: dict[tuple[int, int, int], int] = {}
-    for mi, m in enumerate(msgs):
-        for v in range(m.source, m.dest):
-            for t in _crossing_window(m, v):
-                index[(mi, v, t)] = len(index)
-    nvar = len(index)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    lb: list[float] = []
-    ub: list[float] = []
-    nrow = 0
-
-    def add_row(entries: list[tuple[int, float]], lo: float, hi: float) -> None:
-        nonlocal nrow
-        for col, val in entries:
-            rows.append(nrow)
-            cols.append(col)
-            vals.append(val)
-        lb.append(lo)
-        ub.append(hi)
-        nrow += 1
-
-    obj = np.zeros(nvar)
-
-    for mi, m in enumerate(msgs):
-        first = [index[(mi, m.source, t)] for t in _crossing_window(m, m.source)]
-        value = 1.0 if weights is None else weights.get(m.id, 1.0)
-        for j in first:
-            obj[j] = -value  # milp minimises; we want max (weighted) deliveries
-        # at most one crossing of the first link
-        add_row([(j, 1.0) for j in first], -np.inf, 1.0)
-        # conservation: each later link crossed exactly as often as the first
-        for v in range(m.source + 1, m.dest):
-            entries = [(index[(mi, v, t)], 1.0) for t in _crossing_window(m, v)]
-            entries += [(j, -1.0) for j in first]
-            add_row(entries, 0.0, 0.0)
-        # precedence: cum(v+1, <=t) <= cum(v, <=t-1)
-        for v in range(m.source, m.dest - 1):
-            for t in _crossing_window(m, v + 1):
-                entries = [
-                    (index[(mi, v + 1, tt)], 1.0)
-                    for tt in _crossing_window(m, v + 1)
-                    if tt <= t
-                ]
-                entries += [
-                    (index[(mi, v, tt)], -1.0)
-                    for tt in _crossing_window(m, v)
-                    if tt <= t - 1
-                ]
-                add_row(entries, -np.inf, 0.0)
-
-    # capacity: one message per (link, step)
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for (mi, v, t), j in index.items():
-        by_edge.setdefault((v, t), []).append(j)
-    for js in by_edge.values():
-        if len(js) >= 2:
-            add_row([(j, 1.0) for j in js], -np.inf, 1.0)
-
-    from .bufferless import _milp_budget_options, _milp_upper_bound
-
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(nrow, nvar))
-    options: dict = _milp_budget_options(budget, time_limit)
-    res = milp(
-        c=obj,
-        constraints=[LinearConstraint(a, np.asarray(lb), np.asarray(ub))],
-        integrality=np.ones(nvar),
-        bounds=Bounds(0, 1),
-        options=options,
-    )
-    if res.x is None:
-        if budget is not None and res.status == 1:
-            cut = cut_upper_bound(instance) if weights is None else np.inf
-            raise BudgetExceeded(
-                f"buffered MILP budget exhausted with no incumbent: {res.message}",
-                lower=0,
-                upper=_milp_upper_bound(res, cut, integral=weights is None),
-                incumbent=None,
+    def decode(chosen: np.ndarray) -> Schedule:
+        return Schedule(
+            tuple(
+                Trajectory(msgs[mi].id, msgs[mi].source, times)
+                for mi, times in hop_times(chosen).items()
             )
-        raise SolverBackendError(f"HiGHS failed on buffered MILP: {res.message}")
+        )
 
-    crossings: dict[int, dict[int, int]] = {}
-    for (mi, v, t), j in index.items():
-        if res.x[j] > 0.5:
-            crossings.setdefault(mi, {})[v] = t
-    trajectories = []
-    for mi, per_link in crossings.items():
-        m = msgs[mi]
-        times = tuple(per_link[v] for v in range(m.source, m.dest))
-        trajectories.append(Trajectory(m.id, m.source, times))
-    optimal = bool(res.status == 0)
-    if tr.enabled:
-        tr.count("exact.milp.solves")
-        tr.count("exact.milp.variables", nvar)
-        tr.count("exact.milp.constraints", nrow)
-        if not optimal:
-            tr.count("exact.milp.timeouts")
-        tr.record_span(
-            "exact.milp.buffered",
-            t0,
-            variables=nvar,
-            constraints=nrow,
-            messages=len(msgs),
-            optimal=optimal,
-        )
-    schedule = Schedule(tuple(trajectories))
-    if budget is not None and not optimal:
-        if weights is None:
-            lower: float = schedule.throughput
-            cut: float = cut_upper_bound(instance)
-        else:
-            lower = sum(weights.get(mid, 1.0) for mid in schedule.delivered_ids)
-            cut = np.inf
-        upper = max(lower, _milp_upper_bound(res, cut, integral=weights is None))
-        raise BudgetExceeded(
-            "buffered MILP budget exhausted before proving optimality "
-            f"(incumbent delivers {schedule.throughput})",
-            lower=lower,
-            upper=upper,
-            incumbent=schedule,
-        )
+    schedule, optimal = solve(
+        program,
+        decode,
+        name="buffered",
+        messages=len(msgs),
+        time_limit=time_limit,
+        budget=budget,
+        weights=weights,
+        upper=cut_upper_bound(instance) if weights is None else np.inf,
+    )
     return BufferedResult(schedule, optimal)
 
 

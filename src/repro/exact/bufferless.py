@@ -25,8 +25,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .. import obs
 from ..budget import BudgetMeter, SolverBudget
@@ -35,8 +33,9 @@ from ..core.instance import Instance
 from ..core.message import Direction, Message
 from ..core.schedule import Schedule
 from ..core.trajectory import bufferless_trajectory
-from ..errors import BudgetExceeded, SolverBackendError
+from ..errors import BudgetExceeded
 from .bounds import cut_upper_bound
+from .milp import Program, check_weights, solve
 
 __all__ = ["opt_bufferless", "opt_bufferless_bnb", "BufferlessResult"]
 
@@ -80,18 +79,19 @@ def _schedule(instance: Instance, assign: dict[int, int]) -> Schedule:
     )
 
 
-def _assignment_matrix(
-    msgs: list[Message],
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Constraint matrix ``A`` of the assignment MILP (``A x <= 1``).
+def _assignment_program(
+    msgs: list[Message], weights: dict[int, float] | None = None
+) -> tuple[Program, np.ndarray, np.ndarray]:
+    """The assignment MILP as a :class:`~repro.exact.milp.Program`.
 
-    Variables ``x[m, α]`` = message ``m`` travels on scan line ``α``; they
-    are returned as parallel arrays of message index and ``α``.  Rows:
-    (a) each message uses at most one line; (b) on each line, each
-    diagonal edge carries at most one chosen segment.  Segment overlap on
-    a line is an interval property, so (b) is generated only at *segment
-    left endpoints*, which is sufficient: any two overlapping intervals
-    already overlap at the larger of their left endpoints.
+    Variables ``x[m, α]`` = message ``m`` travels on scan line ``α``,
+    worth ``weights[m.id]`` (default 1); they are returned as parallel
+    arrays of message index and ``α``.  Rows: (a) each message uses at
+    most one line; (b) on each line, each diagonal edge carries at most
+    one chosen segment.  Segment overlap on a line is an interval
+    property, so (b) is generated only at *segment left endpoints*, which
+    is sufficient: any two overlapping intervals already overlap at the
+    larger of their left endpoints.
     """
     var_msg: list[int] = []
     var_alpha: list[int] = []
@@ -99,68 +99,23 @@ def _assignment_matrix(
         for alpha in range(m.alpha_min, m.alpha_max + 1):
             var_msg.append(i)
             var_alpha.append(alpha)
-    nvar = len(var_msg)
+    program = Program(len(var_msg))
+    program.objective[:] = (
+        1.0 if weights is None else [weights.get(msgs[i].id, 1.0) for i in var_msg]
+    )
 
-    # (a) one line per message: row i holds message i's variables
-    rows: list[int] = list(var_msg)
-    cols: list[int] = list(range(nvar))
-    nrow = len(msgs)
+    def conflicts():
+        by_alpha: dict[int, list[int]] = {}
+        for j, alpha in enumerate(var_alpha):
+            by_alpha.setdefault(alpha, []).append(j)
+        for js in by_alpha.values():
+            segments = [(msgs[var_msg[j]].source, msgs[var_msg[j]].dest, j) for j in js]
+            for v in sorted({left for left, _, _ in segments}):
+                # variables whose segment covers diagonal edge (v, v+1) on this line
+                yield [j for left, right, j in segments if left <= v < right]
 
-    # (b) per (line, left-endpoint) edge-disjointness
-    by_alpha: dict[int, list[int]] = {}
-    for j, alpha in enumerate(var_alpha):
-        by_alpha.setdefault(alpha, []).append(j)
-    for js in by_alpha.values():
-        segments = [(msgs[var_msg[j]].source, msgs[var_msg[j]].dest, j) for j in js]
-        for v in sorted({left for left, _, _ in segments}):
-            # variables whose segment covers diagonal edge (v, v+1) on this line
-            covering = [j for left, right, j in segments if left <= v < right]
-            if len(covering) >= 2:
-                rows.extend([nrow] * len(covering))
-                cols.extend(covering)
-                nrow += 1
-
-    a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nrow, nvar))
-    return a, np.asarray(var_msg), np.asarray(var_alpha)
-
-
-def _milp_budget_options(
-    budget: SolverBudget | None, time_limit: float | None
-) -> dict[str, float]:
-    """Translate ``time_limit`` and a :class:`SolverBudget` to HiGHS options."""
-    options: dict[str, float] = {}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    if budget is not None:
-        if budget.wall_time is not None:
-            options["time_limit"] = (
-                budget.wall_time
-                if time_limit is None
-                else min(time_limit, budget.wall_time)
-            )
-        if budget.nodes is not None:
-            options["node_limit"] = int(budget.nodes)
-    return options
-
-
-def _milp_upper_bound(res, cut_bound: float, *, integral: bool) -> float:
-    """Certified upper bound on the optimum from a limit-hit MILP result.
-
-    HiGHS's dual bound lower-bounds the minimisation objective, so its
-    negation upper-bounds the (weighted) throughput; with unit weights the
-    optimum is integral and the bound can be floored.  The combinatorial
-    cut bound is valid independently (callers pass ``inf`` when the
-    objective is weighted, where a message-count bound does not apply) —
-    take the tighter of the two.
-    """
-    dual = getattr(res, "mip_dual_bound", None)
-    upper: float = float(cut_bound)
-    if dual is not None and np.isfinite(dual):
-        from_dual = -float(dual)
-        if integral:
-            from_dual = float(np.floor(from_dual + 1e-6))
-        upper = min(upper, from_dual)
-    return upper
+    program.pack(conflicts(), owner=var_msg)
+    return program, np.asarray(var_msg), np.asarray(var_alpha)
 
 
 def opt_bufferless(
@@ -184,7 +139,7 @@ def opt_bufferless(
        is capped at :data:`CERTIFY_NODES` nodes.
 
     If the cap is hit, the call falls back to the assignment MILP solved
-    by HiGHS (see :func:`_assignment_matrix`).  With tracing on, each
+    by HiGHS (see :func:`_assignment_program`).  With tracing on, each
     unweighted call counts one of ``exact.certified`` and
     ``exact.milp.fallbacks``.
 
@@ -206,9 +161,7 @@ def opt_bufferless(
     failures raise :class:`~repro.errors.SolverBackendError` either way.
     """
     if weights is not None:
-        for mid, w in weights.items():
-            if w <= 0:
-                raise ValueError(f"weight of message {mid} must be positive, got {w}")
+        check_weights(weights)
         return _milp_bufferless(
             instance, time_limit=time_limit, weights=weights, budget=budget
         )
@@ -276,73 +229,28 @@ def _milp_bufferless(
     :func:`opt_bufferless` without the certificate, and the oracle that
     tests check it against.  The ``budget`` maps onto the HiGHS limits.
     """
-    tr = obs.tracer()
-    t0 = time.perf_counter() if tr.enabled else 0.0
     work, msgs = _prepare(instance)
     if not msgs:
         return BufferlessResult(Schedule(), True)
+    program, var_msg, var_alpha = _assignment_program(msgs, weights)
 
-    a, var_msg, var_alpha = _assignment_matrix(msgs)
-    nrow, nvar = a.shape
-    constraint = LinearConstraint(a, -np.inf, np.ones(nrow))
-    options: dict = _milp_budget_options(budget, time_limit)
-    objective = -np.ones(nvar)
-    if weights is not None:
-        for j in range(nvar):
-            objective[j] = -weights.get(msgs[var_msg[j]].id, 1.0)
-    res = milp(
-        c=objective,
-        constraints=[constraint],
-        integrality=np.ones(nvar),
-        bounds=Bounds(0, 1),
-        options=options,
+    def decode(chosen: np.ndarray) -> Schedule:
+        assign: dict[int, int] = {}
+        for j in np.nonzero(chosen)[0]:
+            # numerical duplicates cannot happen, but stay safe
+            assign.setdefault(msgs[var_msg[j]].id, int(var_alpha[j]))
+        return _schedule(instance, assign)
+
+    schedule, optimal = solve(
+        program,
+        decode,
+        name="bufferless",
+        messages=len(msgs),
+        time_limit=time_limit,
+        budget=budget,
+        weights=weights,
+        upper=cut_upper_bound(work) if weights is None else np.inf,
     )
-    limit_hit = bool(res.status == 1)
-    if res.x is None:
-        if budget is not None and limit_hit:
-            cut = cut_upper_bound(work) if weights is None else np.inf
-            raise BudgetExceeded(
-                f"bufferless MILP budget exhausted with no incumbent: {res.message}",
-                lower=0,
-                upper=_milp_upper_bound(res, cut, integral=weights is None),
-                incumbent=None,
-            )
-        raise SolverBackendError(f"HiGHS failed on bufferless MILP: {res.message}")
-    assign: dict[int, int] = {}
-    for j in np.nonzero(res.x > 0.5)[0]:
-        # numerical duplicates cannot happen, but stay safe
-        assign.setdefault(msgs[var_msg[j]].id, int(var_alpha[j]))
-    optimal = bool(res.status == 0)
-    if tr.enabled:
-        tr.count("exact.milp.solves")
-        tr.count("exact.milp.variables", nvar)
-        tr.count("exact.milp.constraints", nrow)
-        if not optimal:
-            tr.count("exact.milp.timeouts")
-        tr.record_span(
-            "exact.milp.bufferless",
-            t0,
-            variables=nvar,
-            constraints=nrow,
-            messages=len(msgs),
-            optimal=optimal,
-        )
-    schedule = _schedule(instance, assign)
-    if budget is not None and not optimal:
-        if weights is None:
-            lower: float = schedule.throughput
-            cut: float = cut_upper_bound(work)
-        else:
-            lower = sum(weights.get(mid, 1.0) for mid in schedule.delivered_ids)
-            cut = np.inf
-        upper = max(lower, _milp_upper_bound(res, cut, integral=weights is None))
-        raise BudgetExceeded(
-            "bufferless MILP budget exhausted before proving optimality "
-            f"(incumbent delivers {schedule.throughput})",
-            lower=lower,
-            upper=upper,
-            incumbent=schedule,
-        )
     return BufferlessResult(schedule, optimal)
 
 

@@ -608,7 +608,7 @@ class Mesh(Topology):
         }
 
     def schedule_from_dict(self, data: dict[str, Any]) -> MeshSchedule:
-        from ..io import _check_header, wire_int
+        from ..io import _check_header, check_row_object, wire_int
 
         _check_header(data, "repro-mesh-schedule")
 
@@ -622,8 +622,9 @@ class Mesh(Topology):
                 crossings=tuple(wire_int(t, "crossings", owner) for t in doc["crossings"]),
             )
 
-        def trajectory(index: int, row: dict[str, Any]) -> MeshTrajectory:
-            mid = wire_int(row["message_id"], "message_id", f"trajectory at row {index}")
+        def trajectory(index: int, row: Any) -> MeshTrajectory:
+            where = f"trajectory at row {index}"
+            mid = wire_int(check_row_object(row, where)["message_id"], "message_id", where)
             return MeshTrajectory(
                 message_id=mid,
                 row_leg=leg(mid, row.get("row_leg")),
@@ -683,10 +684,11 @@ class Mesh(Topology):
             raise ValueError(f"missing field {exc} in mesh instance data") from exc
 
 
-def _mesh_message_from_row(index: int, row: dict[str, Any]) -> MeshMessage:
-    from ..io import wire_int
+def _mesh_message_from_row(index: int, row: Any) -> MeshMessage:
+    from ..io import check_row_object, wire_int
 
-    mid = wire_int(row["id"], "id", f"message at row {index}")
+    where = f"message at row {index}"
+    mid = wire_int(check_row_object(row, where)["id"], "id", where)
     owner = f"message {mid}"
     return MeshMessage(
         id=mid,

@@ -2,6 +2,7 @@
 
 Home of the mesh MILP; it registers under the ``mesh`` topology in the
 facade's dispatch table and keeps scipy unimported until actually called.
+It is built and solved through :mod:`repro.exact.milp`.
 
 Optimises over *all* XY-routed schedules: each delivered message picks a
 phase-1 (row) departure and a phase-2 (column) departure, bufferless
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
+from ..budget import SolverBudget
 from ..core.trajectory import Trajectory
+from ..exact.milp import Program, solve
 from .mesh import MeshInstance, MeshMessage, MeshSchedule, MeshTrajectory
 
 __all__ = ["opt_mesh_xy", "MeshResult"]
@@ -70,7 +71,15 @@ def opt_mesh_xy(
     *,
     conversion_delay: int = 0,
     time_limit: float | None = None,
+    budget: SolverBudget | None = None,
 ) -> MeshResult:
+    """Maximum-throughput XY schedule (0/1 MILP, solved with HiGHS).
+
+    ``budget`` maps onto the HiGHS limits; if it trips before optimality
+    is proven the call raises :class:`~repro.errors.BudgetExceeded` with
+    certified bounds (the feasible-message count caps ``upper``).
+    Backend failures raise :class:`~repro.errors.SolverBackendError`.
+    """
     if conversion_delay < 0:
         raise ValueError("conversion_delay must be non-negative")
     conv = conversion_delay
@@ -97,48 +106,28 @@ def opt_mesh_xy(
                 s2[(mi, t)] = nvar
                 nvar += 1
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    lb: list[float] = []
-    ub: list[float] = []
-    nrow = 0
-
-    def add_row(entries, lo, hi):
-        nonlocal nrow
-        for col, val in entries:
-            rows.append(nrow)
-            cols.append(col)
-            vals.append(val)
-        lb.append(lo)
-        ub.append(hi)
-        nrow += 1
-
-    obj = np.zeros(nvar)
+    program = Program(nvar)
     for mi, m in enumerate(msgs):
         ones = [s1[(mi, t)] for t in _phase1_window(m, conv)] if m.row_span else []
         twos = [s2[(mi, t)] for t in _phase2_window(m, conv)] if m.col_span else []
         if ones:
-            add_row([(j, 1.0) for j in ones], -np.inf, 1.0)
+            program.row(ones)
         if twos:
-            add_row([(j, 1.0) for j in twos], -np.inf, 1.0)
+            program.row(twos)
         if ones and twos:
             # both phases happen together
-            add_row([(j, 1.0) for j in ones] + [(j, -1.0) for j in twos], 0.0, 0.0)
+            program.row(ones, twos, lo=0.0, hi=0.0)
             # conversion precedence, cumulative form: phase 2 by time t
             # requires phase 1 started by t - row_span - conv
             for t in _phase2_window(m, conv):
                 cutoff = t - m.row_span - conv
-                entries = [(s2[(mi, tt)], 1.0) for tt in _phase2_window(m, conv) if tt <= t]
-                entries += [
-                    (s1[(mi, tt)], -1.0)
-                    for tt in _phase1_window(m, conv)
-                    if tt <= cutoff
-                ]
-                add_row(entries, -np.inf, 0.0)
+                program.row(
+                    [s2[(mi, tt)] for tt in _phase2_window(m, conv) if tt <= t],
+                    [s1[(mi, tt)] for tt in _phase1_window(m, conv) if tt <= cutoff],
+                    hi=0.0,
+                )
         # objective counts deliveries once
-        for j in ones if ones else twos:
-            obj[j] = -1.0
+        program.objective[ones if ones else twos] = 1.0
 
     # capacity per directed link-step
     by_slot: dict[tuple, list[int]] = {}
@@ -148,53 +137,44 @@ def opt_mesh_xy(
     for (mi, t), j in s2.items():
         for slot in _col_slots(msgs[mi], t):
             by_slot.setdefault(slot, []).append(j)
-    for js in by_slot.values():
-        if len(js) >= 2:
-            add_row([(j, 1.0) for j in js], -np.inf, 1.0)
+    program.pack(by_slot.values())
 
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(nrow, nvar))
-    options = {"time_limit": time_limit} if time_limit is not None else {}
-    res = milp(
-        c=obj,
-        constraints=[LinearConstraint(a, np.asarray(lb), np.asarray(ub))],
-        integrality=np.ones(nvar),
-        bounds=Bounds(0, 1),
-        options=options,
+    def decode(chosen: np.ndarray) -> MeshSchedule:
+        starts1 = {mi: t for (mi, t), j in s1.items() if chosen[j]}
+        starts2 = {mi: t for (mi, t), j in s2.items() if chosen[j]}
+        trajectories: list[MeshTrajectory] = []
+        for mi, m in enumerate(msgs):
+            if m.row_span and mi not in starts1:
+                continue
+            if m.col_span and mi not in starts2:
+                continue
+            row_leg = None
+            col_leg = None
+            if m.row_span:
+                t1 = starts1[mi]
+                c1, c2 = m.source[1], m.dest[1]
+                if c2 < c1:
+                    c1, c2 = instance.cols - 1 - c1, instance.cols - 1 - c2
+                row_leg = Trajectory(m.id, c1, tuple(range(t1, t1 + m.row_span)))
+            if m.col_span:
+                t2 = starts2[mi]
+                r1, r2 = m.source[0], m.dest[0]
+                if r2 < r1:
+                    r1, r2 = instance.rows - 1 - r1, instance.rows - 1 - r2
+                col_leg = Trajectory(m.id, r1, tuple(range(t2, t2 + m.col_span)))
+            wait = 0
+            if row_leg is not None and col_leg is not None:
+                wait = col_leg.depart - row_leg.arrive
+            trajectories.append(MeshTrajectory(m.id, row_leg, col_leg, wait))
+        return MeshSchedule(tuple(trajectories))
+
+    schedule, optimal = solve(
+        program,
+        decode,
+        name="mesh_xy",
+        messages=len(msgs),
+        time_limit=time_limit,
+        budget=budget,
+        upper=len(msgs),
     )
-    if res.x is None:
-        raise RuntimeError(f"HiGHS failed on mesh MILP: {res.message}")
-
-    starts1: dict[int, int] = {}
-    starts2: dict[int, int] = {}
-    for (mi, t), j in s1.items():
-        if res.x[j] > 0.5:
-            starts1[mi] = t
-    for (mi, t), j in s2.items():
-        if res.x[j] > 0.5:
-            starts2[mi] = t
-
-    trajectories: list[MeshTrajectory] = []
-    for mi, m in enumerate(msgs):
-        if m.row_span and mi not in starts1:
-            continue
-        if m.col_span and mi not in starts2:
-            continue
-        row_leg = None
-        col_leg = None
-        if m.row_span:
-            t1 = starts1[mi]
-            c1, c2 = m.source[1], m.dest[1]
-            if c2 < c1:
-                c1, c2 = instance.cols - 1 - c1, instance.cols - 1 - c2
-            row_leg = Trajectory(m.id, c1, tuple(range(t1, t1 + m.row_span)))
-        if m.col_span:
-            t2 = starts2[mi]
-            r1, r2 = m.source[0], m.dest[0]
-            if r2 < r1:
-                r1, r2 = instance.rows - 1 - r1, instance.rows - 1 - r2
-            col_leg = Trajectory(m.id, r1, tuple(range(t2, t2 + m.col_span)))
-        wait = 0
-        if row_leg is not None and col_leg is not None:
-            wait = col_leg.depart - row_leg.arrive
-        trajectories.append(MeshTrajectory(m.id, row_leg, col_leg, wait))
-    return MeshResult(MeshSchedule(tuple(trajectories)), bool(res.status == 0))
+    return MeshResult(schedule, optimal)

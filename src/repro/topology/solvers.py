@@ -29,6 +29,11 @@ def _take(opts: dict[str, Any], name: str, default: Any) -> Any:
     return opts.pop(name, default)
 
 
+def _take_all(opts: dict[str, Any], *names: str) -> dict[str, Any]:
+    """The named options present in ``opts``, popped as keyword arguments."""
+    return {name: opts.pop(name) for name in names if name in opts}
+
+
 def _reject_unknown(opts: dict[str, Any], regime: str, method: str) -> None:
     if opts:
         unknown = ", ".join(sorted(opts))
@@ -79,10 +84,7 @@ def line_bufferless_exact(instance: Any, opts: dict[str, Any]) -> RawResult:
 
     solver = _take(opts, "solver", "milp")
     if solver in ("milp", "auto"):
-        kwargs: dict[str, Any] = {}
-        for name in ("time_limit", "weights", "budget"):
-            if name in opts:
-                kwargs[name] = opts.pop(name)
+        kwargs = _take_all(opts, "time_limit", "weights", "budget")
         _reject_unknown(opts, "bufferless", "exact")
         try:
             result = opt_bufferless(instance, **kwargs)
@@ -96,10 +98,7 @@ def line_bufferless_exact(instance: Any, opts: dict[str, Any]) -> RawResult:
             result = opt_bufferless_bnb(instance, budget=kwargs.get("budget"))
         return RawResult(result.schedule, result.optimal)
     if solver == "bnb":
-        kwargs = {}
-        for name in ("node_limit", "budget"):
-            if name in opts:
-                kwargs[name] = opts.pop(name)
+        kwargs = _take_all(opts, "node_limit", "budget")
         _reject_unknown(opts, "bufferless", "exact")
         result = opt_bufferless_bnb(instance, **kwargs)
         return RawResult(result.schedule, result.optimal)
@@ -159,17 +158,12 @@ def line_buffered_exact(instance: Any, opts: dict[str, Any]) -> RawResult:
 
     solver = _take(opts, "solver", "milp")
     if solver == "milp":
-        kwargs: dict[str, Any] = {}
-        for name in ("time_limit", "weights", "budget"):
-            if name in opts:
-                kwargs[name] = opts.pop(name)
+        kwargs = _take_all(opts, "time_limit", "weights", "budget")
         _reject_unknown(opts, "buffered", "exact")
         result = opt_buffered(instance, **kwargs)
         return RawResult(result.schedule, result.optimal)
     if solver == "bruteforce":
-        kwargs = {}
-        if "max_messages" in opts:
-            kwargs["max_messages"] = opts.pop("max_messages")
+        kwargs = _take_all(opts, "max_messages")
         _reject_unknown(opts, "buffered", "exact")
         result = opt_buffered_bruteforce(instance, **kwargs)
         return RawResult(result.schedule, result.optimal)
@@ -336,9 +330,7 @@ def line_online_greedy(instance: Any, opts: dict[str, Any]) -> RawResult:
 def ring_bufferless_exact(instance: Any, opts: dict[str, Any]) -> RawResult:
     from .ring_exact import opt_ring_bufferless
 
-    kwargs: dict[str, Any] = {}
-    if "time_limit" in opts:
-        kwargs["time_limit"] = opts.pop("time_limit")
+    kwargs = _take_all(opts, "time_limit", "budget")
     _reject_unknown(opts, "bufferless", "exact")
     result = opt_ring_bufferless(instance, **kwargs)
     return RawResult(result.schedule, result.optimal)
@@ -354,9 +346,7 @@ def ring_bufferless_bfl(instance: Any, opts: dict[str, Any]) -> RawResult:
 def ring_buffered_exact(instance: Any, opts: dict[str, Any]) -> RawResult:
     from .ring_exact import opt_ring_buffered
 
-    kwargs: dict[str, Any] = {}
-    if "time_limit" in opts:
-        kwargs["time_limit"] = opts.pop("time_limit")
+    kwargs = _take_all(opts, "time_limit", "budget")
     _reject_unknown(opts, "buffered", "exact")
     result = opt_ring_buffered(instance, **kwargs)
     return RawResult(result.schedule, result.optimal)
@@ -418,10 +408,7 @@ def ring_online_greedy(instance: Any, opts: dict[str, Any]) -> RawResult:
 def mesh_bufferless_exact(instance: Any, opts: dict[str, Any]) -> RawResult:
     from .mesh_exact import opt_mesh_xy
 
-    kwargs: dict[str, Any] = {}
-    for name in ("conversion_delay", "time_limit"):
-        if name in opts:
-            kwargs[name] = opts.pop(name)
+    kwargs = _take_all(opts, "conversion_delay", "time_limit", "budget")
     _reject_unknown(opts, "bufferless", "exact")
     result = opt_mesh_xy(instance, **kwargs)
     return RawResult(result.schedule, result.optimal)

@@ -18,7 +18,8 @@ Machine-checked invariants:
   (``perfbench/`` is the one benchmark), the vectorized BFL twin
   (``bfl_fast`` is the one fast kernel), and the compat shims that
   pointed at ``repro.topology`` / ``repro.trace.events`` (``docs/api.md``
-  lists where each removed name went).
+  lists where each removed name went), and the per-solver HiGHS calls
+  (only ``repro.exact.milp`` reaches ``scipy.optimize.milp``).
 """
 
 import ast
@@ -227,7 +228,45 @@ def _removed_imports(path: Path, module: str | None = None) -> list[str]:
     return hits
 
 
+def _milp_uses(path: Path) -> list[int]:
+    """Lines of ``path`` that import or reach ``scipy.optimize.milp``."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("scipy.optimize") and any(
+                alias.name == "milp" for alias in node.names
+            ):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("scipy.optimize._milp") for alias in node.names):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "milp":
+            if ast.unparse(node.value).endswith("optimize"):
+                hits.append(node.lineno)
+    return hits
+
+
 class TestRemovedPaths:
+    def test_only_the_shared_layer_calls_highs_milp(self):
+        """Every exact MILP is solved through ``repro.exact.milp``."""
+        users = sorted(_module_name(p) for p in SRC.rglob("*.py") if _milp_uses(p))
+        assert users == ["repro.exact.milp"]
+
+    def test_milp_check_flags_every_form(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "from scipy.optimize import Bounds, milp\n"
+            "from scipy.optimize._milp import milp as solve\n"
+            "import scipy.optimize\n"
+            "res = scipy.optimize.milp(c)\n"
+            "from scipy import optimize\n"
+            "res = optimize.milp(c)\n"
+            "from scipy.optimize import linprog\n"
+            "res = program.milp\n"
+        )
+        assert _milp_uses(bad) == [1, 2, 4, 6]
+
+
     def test_no_file_imports_a_removed_module(self):
         files = [
             path

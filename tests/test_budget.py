@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import BudgetExceeded, ReproError, SolverBackendError, SolverBudget, api
 from repro.core.instance import make_instance
 from repro.exact import (
+    bounds,
     bufferless,
+    bufferless_lp_bound,
     cut_upper_bound,
     opt_buffered,
     opt_bufferless,
     opt_bufferless_bnb,
 )
+from repro.exact import milp as exact_milp
+from repro.topology.mesh_exact import opt_mesh_xy
+from repro.topology.ring_exact import opt_ring_buffered, opt_ring_bufferless
+from repro.workloads import random_mesh_instance, random_ring_instance
 
 from .conftest import random_lr_instance
 
@@ -147,3 +155,99 @@ class TestCertificateBudget:
         assert exc.lower <= 2 <= exc.upper == 3
         assert exc.incumbent is not None
         assert exc.incumbent.throughput == exc.lower
+
+
+def _ring():
+    return random_ring_instance(np.random.default_rng(7), n=8, k=10)
+
+
+def _mesh():
+    return random_mesh_instance(np.random.default_rng(3), rows=4, cols=4, k=10)
+
+
+RING_AND_MESH = [
+    pytest.param(_ring, "bufferless", id="ring-bufferless"),
+    pytest.param(_ring, "buffered", id="ring-buffered"),
+    pytest.param(_mesh, "bufferless", id="mesh-bufferless"),
+]
+
+
+class TestRingMeshBudget:
+    @pytest.mark.parametrize("make,regime", RING_AND_MESH)
+    @pytest.mark.parametrize(
+        "budget", [SolverBudget(wall_time=1e-6), SolverBudget(nodes=1)], ids=["wall", "nodes"]
+    )
+    def test_degrade_brackets_opt(self, make, regime, budget):
+        inst = make()
+        opt = api.solve(inst, regime, "exact").delivered
+        res = api.solve(inst, regime, "exact", budget=budget, on_budget="degrade")
+        assert res.status in ("bounded", "infeasible", "optimal")
+        assert res.lower <= opt <= res.upper
+        assert res.schedule.throughput == res.lower
+
+    @pytest.mark.parametrize("make,regime", RING_AND_MESH)
+    def test_limit_hit_with_incumbent_carries_certified_bounds(
+        self, make, regime, monkeypatch
+    ):
+        # HiGHS stops on a limit holding the optimum but proving only
+        # ``OPT + 1``: the call raises with the incumbent and both bounds.
+        inst = make()
+        opt = api.solve(inst, regime, "exact").delivered
+        real = exact_milp.milp
+
+        def limited(c, **kw):
+            res = real(c, **kw)
+            return SimpleNamespace(
+                x=res.x, status=1, message="limit", mip_dual_bound=res.fun - 1.5
+            )
+
+        monkeypatch.setattr(exact_milp, "milp", limited)
+        with pytest.raises(BudgetExceeded, match="before proving optimality") as excinfo:
+            api.solve(inst, regime, "exact", budget=SolverBudget(nodes=10))
+        exc = excinfo.value
+        assert exc.lower == exc.incumbent.throughput == opt
+        assert exc.upper == min(opt + 1, sum(1 for m in inst if m.feasible))
+
+
+def _no_solution(c, **kw):
+    return SimpleNamespace(x=None, status=4, message="solver error")
+
+
+class TestBackendFailure:
+    """A HiGHS run with no solution is a typed ``SolverBackendError`` on
+    every MILP, and on the LP bound."""
+
+    @pytest.mark.parametrize(
+        "solver,make",
+        [
+            pytest.param(bufferless._milp_bufferless, None, id="line-bufferless"),
+            pytest.param(opt_buffered, None, id="line-buffered"),
+            pytest.param(opt_ring_bufferless, _ring, id="ring-bufferless"),
+            pytest.param(opt_ring_buffered, _ring, id="ring-buffered"),
+            pytest.param(opt_mesh_xy, _mesh, id="mesh"),
+        ],
+    )
+    def test_milp_failure_is_typed(self, small, solver, make, monkeypatch):
+        monkeypatch.setattr(exact_milp, "milp", _no_solution)
+        with pytest.raises(SolverBackendError, match="HiGHS failed"):
+            solver(small if make is None else make())
+
+    @pytest.mark.parametrize(
+        "make,regime", [pytest.param(None, "buffered", id="line-buffered"), *RING_AND_MESH]
+    )
+    def test_every_exact_cell_surfaces_it(self, small, make, regime, monkeypatch):
+        monkeypatch.setattr(exact_milp, "milp", _no_solution)
+        with pytest.raises(SolverBackendError):
+            api.solve(
+                small if make is None else make(),
+                regime,
+                "exact",
+                budget=SolverBudget(wall_time=60.0),
+            )
+
+    def test_lp_bound_failure_is_typed(self, small, monkeypatch):
+        monkeypatch.setattr(
+            bounds, "linprog", lambda **kw: SimpleNamespace(x=None, message="solver error")
+        )
+        with pytest.raises(SolverBackendError, match="LP relaxation failed"):
+            bufferless_lp_bound(small)

@@ -160,6 +160,19 @@ class TestMalformedRows:
         with pytest.raises(ValueError, match="^trajectory at row 0 must be an object, got int$"):
             get_topology("ring").schedule_from_dict(self._ring_schedule([3]))
 
+    def test_mesh_message_row_that_is_no_object(self):
+        doc = get_topology("mesh").instance_to_dict(
+            random_mesh_instance(np.random.default_rng(3), rows=3, cols=3, k=2)
+        )
+        doc["messages"][1] = 7
+        with pytest.raises(ValueError, match="^message at row 1 must be an object, got int$"):
+            api.parse_instance(doc)
+
+    def test_mesh_trajectory_row_that_is_no_object(self):
+        doc = {"format": "repro-mesh-schedule", "version": 1, "trajectories": [3]}
+        with pytest.raises(ValueError, match="^trajectory at row 0 must be an object, got int$"):
+            get_topology("mesh").schedule_from_dict(doc)
+
     def test_ring_hop_times_that_are_no_array(self):
         row = {"message_id": 2, "source": 1, "depart": 0, "span": 2, "hop_times": 5}
         with pytest.raises(

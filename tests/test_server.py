@@ -190,6 +190,16 @@ class TestTypedErrors:
         assert data["error"]["type"] == "bad_request"
         assert f"message {mid}: field 'release' must be an integer" in data["error"]["message"]
 
+    def test_mesh_row_that_is_no_object_is_bad_request(self, client):
+        doc = topology_of(_mesh()).instance_to_dict(_mesh())
+        doc["messages"][0] = 7
+        status, data, _ = client._request(
+            "POST", "/v1/solve", {"instance": doc, "regime": "bufferless", "method": "exact"}
+        )
+        assert status == 400
+        assert data["error"]["type"] == "bad_request"
+        assert "message at row 0 must be an object" in data["error"]["message"]
+
     def test_error_body_shape(self):
         body = error_body("config", "boom", hint="x")
         assert body == {
@@ -203,6 +213,54 @@ class TestTypedErrors:
         out = solve_cell({"instance": {"format": "garbage"}})
         assert out["ok"] is False
         assert out["error"]["error"]["type"] == "bad_request"
+
+
+EXACT_CELLS = [
+    pytest.param(_ring, "bufferless", id="ring-bufferless"),
+    pytest.param(_ring, "buffered", id="ring-buffered"),
+    pytest.param(_mesh, "bufferless", id="mesh-bufferless"),
+]
+
+
+class TestExactDeadlines:
+    """A deadline caps every exact solver's budget, so exact cells on every
+    topology accept the server's injected ``budget``."""
+
+    @pytest.mark.parametrize("make,regime", EXACT_CELLS)
+    def test_solve_cell_with_deadline_succeeds(self, make, regime):
+        inst = make()
+        out = solve_cell(
+            {
+                "instance": topology_of(inst).instance_to_dict(inst),
+                "regime": regime,
+                "method": "exact",
+                "_deadline_s": 5.0,
+            }
+        )
+        assert out["ok"], out
+        assert out["result"]["status"] == "optimal"
+
+    @pytest.mark.parametrize("make,regime", EXACT_CELLS)
+    def test_missed_deadline_is_typed_with_bounds(self, make, regime):
+        inst = make()
+        out = solve_cell(
+            {
+                "instance": topology_of(inst).instance_to_dict(inst),
+                "regime": regime,
+                "method": "exact",
+                "_deadline_s": 1e-6,
+            }
+        )
+        if not out["ok"]:  # a tiny program may still finish in time
+            err = out["error"]["error"]
+            assert err["type"] == "deadline"
+            assert err["details"]["lower"] <= err["details"]["upper"]
+
+    @pytest.mark.parametrize("make,regime", EXACT_CELLS)
+    def test_served_with_deadline_ms_matches_local(self, client, make, regime):
+        inst = make()
+        result = client.solve(inst, regime, "exact", deadline_ms=30_000.0)
+        assert _stripped(result) == _stripped(api.solve(inst, regime, "exact"))
 
 
 class TestStreams:
