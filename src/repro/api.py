@@ -464,7 +464,11 @@ def solve(
         if on_budget != "degrade":
             raise
         degraded = exc
-        schedule = exc.incumbent if exc.incumbent is not None else Schedule()
+        schedule = (
+            exc.incumbent
+            if exc.incumbent is not None
+            else topo.sim_schedule(instance, ())
+        )
         optimal = False
         extra = {}
         ratio = None

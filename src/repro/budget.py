@@ -3,14 +3,14 @@
 A :class:`SolverBudget` caps how much work an exact solve may do —
 wall-clock seconds, branch-and-bound nodes, or both — and is threaded
 through ``opt_bufferless`` / ``opt_bufferless_bnb`` / ``opt_buffered``
-and :func:`repro.api.solve`.  Exhaustion raises
+/ ``opt_buffered_bruteforce`` and :func:`repro.api.solve`.  Exhaustion raises
 :class:`repro.errors.BudgetExceeded` carrying certified bounds and the
 best incumbent, instead of silently returning a maybe-suboptimal answer:
 a budgeted solve either *proves* its result or *says how far it got*.
 
 The MILP solvers map the budget onto HiGHS options (``time_limit``,
-``node_limit``); the pure-Python branch-and-bound polls a
-:class:`BudgetMeter` inside its search loop.  ``opt_bufferless`` does
+``node_limit``); the pure-Python branch-and-bound and brute-force
+searches poll a :class:`BudgetMeter` inside their search loops.  ``opt_bufferless`` does
 both: its certificate search polls the wall clock, and the MILP it falls
 back to gets the remaining wall time plus the node limit.
 """

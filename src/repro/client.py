@@ -11,7 +11,8 @@ as the same typed exceptions a local call would raise:
 :class:`~repro.errors.BudgetExceeded` for ``on_budget="raise"`` solves
 (bounds preserved; the incumbent schedule does not travel),
 :class:`~repro.errors.ServerOverloaded` for 429 backpressure,
-:class:`~repro.errors.DeadlineExceeded` for 504 deadline misses.
+:class:`~repro.errors.DeadlineExceeded` for 504 deadline misses,
+:class:`~repro.errors.SolverBackendError` for 503 MILP backend failures.
 
 Failure handling is a *classification table*, not a blanket retry
 (:func:`classify_failure`):
@@ -66,6 +67,7 @@ from .errors import (
     DeadlineExceeded,
     ServerError,
     ServerOverloaded,
+    SolverBackendError,
 )
 from .io import message_row
 from .online import StreamResult
@@ -373,6 +375,8 @@ class ReproClient:
                 incumbent=None,  # schedules do not travel inside errors
                 spent=details.get("spent"),
             )
+        if etype == "solver_backend":
+            return SolverBackendError(message)
         return ServerError(message, error_type=etype, details=details)
 
     # ------------------------------------------------------------- #

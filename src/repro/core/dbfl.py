@@ -23,7 +23,7 @@ control channel, which moves one hop per step like everything else.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from ..network.packet import Packet
 from ..network.policy import NodeView, Policy
@@ -58,25 +58,35 @@ class DBFLPolicy(Policy):
     def key(packet: Packet) -> tuple:
         """BFL's order: nearest destination, then larger source, then id.
 
-        ``select`` applies it after the scan line's ``L`` filter; a
+        ``select_at`` applies it after the scan line's ``L`` filter; a
         bounded buffer's admission contest applies it unfiltered.
         """
         return (packet.dest, -packet.message.source, packet.id)
 
     def select(self, view: NodeView) -> Packet | None:
-        v = view.node
-        l_value = self._l_in[v]
-        eligible = [p for p in view.candidates if p.message.source >= l_value]
-        chosen = min(eligible, key=self.key) if eligible else None
+        return self.select_at(view.node, view.time, view.candidates)
+
+    def select_at(self, node: int, time: int, buffer: Sequence[Packet]) -> Packet | None:
+        l_value = self._l_in[node]
+        # The minimum by ``key`` among packets that passed the L filter,
+        # keys compared inline.
+        chosen = None
+        best: tuple | None = None
+        for p in buffer:
+            source = p.message.source
+            if source >= l_value:
+                k = (p.dest, -source, p.id)
+                if best is None or k < best:
+                    chosen, best = p, k
         # The L value handed to node v+1 along this line: bumped iff the
         # forwarded packet completes its journey there.
-        if chosen is not None and chosen.dest == v + 1:
-            self._l_out[v] = v + 1
+        if chosen is not None and chosen.dest == node + 1:
+            self._l_out[node] = node + 1
         else:
-            self._l_out[v] = l_value
+            self._l_out[node] = l_value
         # This node's slot now refers to *next* step's line, which is fresh
         # unless the left neighbour overwrites it via receive_control.
-        self._l_in[v] = _NO_DELIVERY
+        self._l_in[node] = _NO_DELIVERY
         return chosen
 
     def emit_control(self, node: int, time: int) -> Hashable | None:

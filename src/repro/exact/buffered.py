@@ -20,11 +20,12 @@ from itertools import combinations
 
 import numpy as np
 
-from ..budget import SolverBudget
+from ..budget import BudgetMeter, SolverBudget
 from ..core.instance import Instance
 from ..core.message import Direction, Message
 from ..core.schedule import Schedule
 from ..core.trajectory import Trajectory
+from ..errors import BudgetExceeded
 from .bounds import cut_upper_bound
 from .milp import check_weights, solve, time_indexed
 
@@ -101,12 +102,23 @@ def opt_buffered(
     return BufferedResult(schedule, optimal)
 
 
-def opt_buffered_bruteforce(instance: Instance, *, max_messages: int = 10) -> BufferedResult:
+def opt_buffered_bruteforce(
+    instance: Instance,
+    *,
+    max_messages: int = 10,
+    budget: SolverBudget | None = None,
+) -> BufferedResult:
     """Reference ``OPT_B`` by subset enumeration (tiny instances only).
 
     Iterates over candidate subsets from largest to smallest and returns the
     first feasible one, where feasibility is decided by
     :func:`buffered_feasible`.  Complexity is unapologetically exponential.
+
+    ``budget`` counts one node per subset checked and reads the wall clock
+    before each; when it trips the call raises
+    :class:`~repro.errors.BudgetExceeded` with no incumbent (the first
+    feasible subset found is the optimum), ``lower=0`` and ``upper`` the
+    size being enumerated — every larger subset was proven infeasible.
     """
     msgs = _lr_feasible(instance)
     if len(msgs) > max_messages:
@@ -114,8 +126,16 @@ def opt_buffered_bruteforce(instance: Instance, *, max_messages: int = 10) -> Bu
             f"{len(msgs)} messages exceeds brute-force cap {max_messages}; "
             "use opt_buffered instead"
         )
+    meter = BudgetMeter(budget, check_interval=1) if budget is not None else None
     for size in range(len(msgs), -1, -1):
         for subset in combinations(msgs, size):
+            if meter is not None and (reason := meter.tick()) is not None:
+                raise BudgetExceeded(
+                    f"brute-force buffered search exhausted its {reason} budget",
+                    lower=0,
+                    upper=size,
+                    spent=meter.spent(),
+                )
             schedule = buffered_feasible(list(subset))
             if schedule is not None:
                 return BufferedResult(schedule, True)

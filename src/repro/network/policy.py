@@ -15,13 +15,16 @@ distributed information model:
 Every policy has **one order**, its static :meth:`Policy.key`: ``select``
 defaults to the candidate with the smallest key, and the bounded-buffer
 admission contest (:meth:`Policy.eviction_key`) evicts the largest.  A
-*key-ordered* policy — one that keeps the base ``select`` and
-``emit_control`` — is therefore fully described by its key, and the
+*key-ordered* policy — one that keeps the base ``select``, ``select_at``
+and ``emit_control`` — is therefore fully described by its key, and the
 simulator serves it without building a :class:`NodeView`, skipping nodes
-whose buffers are empty.  Policies that override ``select`` (D-BFL's
-scan-line filter, tracing wrappers) are asked through a ``NodeView`` at
-every node and step, and should still state their order as ``key`` so
-their admission contest matches what they forward.
+whose buffers are empty.  Every other policy is asked through
+:meth:`Policy.select_at` at every node and step: the base builds the
+``NodeView`` (its one construction site) and calls ``select``, while a
+policy that can decide on the live buffer — D-BFL's scan-line filter —
+overrides ``select_at`` and keeps ``select`` as a delegate for callers
+holding a view.  Such policies should still state their order as
+``key`` so their admission contest matches what they forward.
 
 Centralised heuristics that "cheat" (e.g. global-knowledge baselines) can
 of course keep their own state; the D-BFL implementation deliberately
@@ -32,7 +35,7 @@ claim is demonstrated, not just asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Any, Hashable, Sequence
 
 from .packet import Packet
 
@@ -55,8 +58,8 @@ class NodeView:
 
 class Policy:
     """Base class: a policy states its order as :meth:`key`, and may
-    override :meth:`select` (and the control-channel hooks) when the
-    order alone does not decide what it forwards."""
+    override :meth:`select` or :meth:`select_at` (and the control-channel
+    hooks) when the order alone does not decide what it forwards."""
 
     #: Whether the simulator may fast-forward over fully idle steps (all
     #: buffers empty, nothing in flight) straight to the next release.
@@ -64,6 +67,21 @@ class Policy:
     #: anything driving the control channel, like D-BFL — must set this
     #: False so no emission opportunity is skipped.
     idle_skippable: bool = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # ``select_at`` is served only with the ``select`` it was written
+        # for: a subclass whose ``select`` is newer in the MRO than its
+        # ``select_at`` (it changed the rule but inherited a fast path
+        # for the old one) gets the base ``select_at``, which asks its
+        # ``select`` through a view.
+        super().__init_subclass__(**kwargs)
+        mro = cls.__mro__
+
+        def owner(name: str) -> int:
+            return next(i for i, c in enumerate(mro) if name in vars(c))
+
+        if owner("select") < owner("select_at"):
+            cls.select_at = Policy.select_at  # type: ignore[method-assign]
 
     def reset(self, n: int) -> None:
         """Called once before the run starts, with the network size."""
@@ -88,6 +106,19 @@ class Policy:
         """
         candidates = view.candidates
         return min(candidates, key=self.key) if candidates else None
+
+    def select_at(self, node: Any, time: int, buffer: Sequence[Packet]) -> Packet | None:
+        """The simulator's entry point: choose what ``node`` forwards at
+        ``time`` from ``buffer``, the packets it holds for one outgoing
+        link.
+
+        ``buffer`` is the simulator's live list (or a view's candidate
+        tuple) and must not be mutated.
+        The base builds the :class:`NodeView` and asks :meth:`select`; a
+        policy may override this to decide on the list directly, as long
+        as it picks what its ``select`` would.
+        """
+        return self.select(NodeView(node=node, time=time, candidates=tuple(buffer)))
 
     def eviction_key(self, packet: Packet) -> tuple:
         """Priority key for bounded-buffer admission contests.

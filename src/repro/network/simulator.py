@@ -19,11 +19,14 @@ One step of the synchronous network, at time ``t``:
 5. **Selection** — every node independently asks the policy for at most one
    packet per outgoing link to forward; chosen packets are in flight until
    step 1 of time ``t + 1``.  A key-ordered policy (one that keeps the
-   base :meth:`~repro.network.policy.Policy.select` and ``emit_control``)
-   forwards the minimum of the buffer by its ``key``; on a fault-free
-   line or ring the loop does that directly, skipping empty nodes and
-   building no :class:`~repro.network.policy.NodeView`.  Every other
-   policy is asked through a ``NodeView`` at every node.
+   base :meth:`~repro.network.policy.Policy.select`, ``select_at`` and
+   ``emit_control``) forwards the minimum of the buffer by its ``key``;
+   on a fault-free line or ring the loop does that directly, skipping
+   empty nodes.  Every other policy is asked through
+   :meth:`~repro.network.policy.Policy.select_at` at every node, handed
+   the live buffer; the base builds the
+   :class:`~repro.network.policy.NodeView` there and calls ``select``,
+   and D-BFL decides on the buffer without one.
 
 The step loop itself is topology-free: node/link structure and routing
 come from the instance's :class:`~repro.topology.Topology` (line, ring or
@@ -67,7 +70,7 @@ from ..backend import resolve_backend
 from ..buffers import DEFAULT_ADMISSION, admission_victim, check_admission, check_capacity
 from .faults import FaultPlan
 from .packet import Packet, PacketStatus
-from .policy import NodeView, Policy
+from .policy import Policy
 from .stats import SimulationStats
 
 __all__ = ["LinearNetworkSimulator", "SimulationResult", "simulate"]
@@ -329,16 +332,18 @@ class LinearNetworkSimulator:
             sel_nodes = self._sel_nodes
         buffer_capacity = self.buffer_capacity
         admission = self.admission
-        policy_select = policy.select
+        select_at = policy.select_at
         policy_emit = policy.emit_control
-        # A key-ordered policy (base ``select`` and ``emit_control``) is
-        # described by its key alone: it forwards the minimum by key, and
-        # a node with an empty buffer forwards and emits nothing, so the
-        # fault-free loop below skips such nodes and builds no NodeView.
+        # A key-ordered policy (base ``select``, ``select_at`` and
+        # ``emit_control``) is described by its key alone: it forwards the
+        # minimum by key, and a node with an empty buffer forwards and
+        # emits nothing, so the fault-free loop below skips such nodes.
         cls = type(policy)
         key = (
             policy.key
-            if cls.select is Policy.select and cls.emit_control is Policy.emit_control
+            if cls.select is Policy.select
+            and cls.select_at is Policy.select_at
+            and cls.emit_control is Policy.emit_control
             else None
         )
 
@@ -455,8 +460,7 @@ class LinearNetworkSimulator:
                                 continue
                             chosen = min(buf, key=key)
                         else:
-                            view = NodeView(node=v, time=t, candidates=tuple(buf))
-                            chosen = policy_select(view)
+                            chosen = select_at(v, t, buf)
                         if chosen is not None:
                             if chosen not in buf:
                                 raise RuntimeError(
@@ -489,10 +493,7 @@ class LinearNetworkSimulator:
                             stats.stall_blocks += 1
                             chosen = None
                         else:
-                            view = NodeView(
-                                node=v, time=t, candidates=tuple(buffers[v])
-                            )
-                            chosen = policy_select(view)
+                            chosen = select_at(v, t, buffers[v])
                         if chosen is not None:
                             self._forward(
                                 chosen, v, nxt, t, buffers, in_flight, launched, stats
@@ -519,8 +520,7 @@ class LinearNetworkSimulator:
                                 if faults is not None and faults.link_down(link, t):
                                     stats.link_down_blocks += 1
                                     continue
-                                view = NodeView(node=v, time=t, candidates=tuple(cands))
-                                chosen = policy.select(view)
+                                chosen = select_at(v, t, cands)
                                 if chosen is not None:
                                     self._forward(
                                         chosen,

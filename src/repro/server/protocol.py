@@ -64,7 +64,8 @@ WIRE_VERSION = 1
 #: Error type -> HTTP status.  ``budget_exceeded`` (422) is raised only
 #: by ``on_budget="raise"`` solves; ``on_budget="degrade"`` results are
 #: ordinary 200s with ``status="bounded"`` — degradation is an answer,
-#: not an error.
+#: not an error.  ``solver_backend`` (503) is an exact solve whose MILP
+#: backend (HiGHS) failed outright.
 ERROR_STATUS = {
     "bad_request": 400,
     "config": 400,
@@ -73,6 +74,7 @@ ERROR_STATUS = {
     "budget_exceeded": 422,
     "overloaded": 429,
     "internal": 500,
+    "solver_backend": 503,
     "deadline": 504,
 }
 

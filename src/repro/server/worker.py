@@ -17,7 +17,7 @@ from typing import Any
 from ..api import parse_instance, solve
 from ..budget import SolverBudget
 from ..chaos.plan import KILL_GATE_ENV
-from ..errors import BudgetExceeded, ConfigError
+from ..errors import BudgetExceeded, ConfigError, SolverBackendError
 from .protocol import error_body
 
 __all__ = ["solve_cell", "decode_options"]
@@ -80,10 +80,10 @@ def solve_cell(payload: dict[str, Any]) -> dict[str, Any]:
     Success: ``{"ok": True, "result": <ScheduleResult.to_dict()>}``.
     Failure: ``{"ok": False, "error": <error payload>}`` with the error
     type picking the HTTP status upstream (``config`` -> 400,
-    ``budget_exceeded`` -> 422, ...).  ``on_budget="degrade"`` solves
-    come back as *successes* with ``status="bounded"`` — the server
-    passes certified degradation through instead of turning it into an
-    error.
+    ``budget_exceeded`` -> 422, ``solver_backend`` -> 503, ...).
+    ``on_budget="degrade"`` solves come back as *successes* with
+    ``status="bounded"`` — the server passes certified degradation
+    through instead of turning it into an error.
     """
     deadline_s = None
     try:
@@ -139,6 +139,8 @@ def solve_cell(payload: dict[str, Any]) -> dict[str, Any]:
                 spent=exc.spent,
             ),
         }
+    except SolverBackendError as exc:
+        return {"ok": False, "error": error_body("solver_backend", str(exc))}
     except KeyError as exc:
         return {
             "ok": False,

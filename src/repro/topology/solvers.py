@@ -163,7 +163,7 @@ def line_buffered_exact(instance: Any, opts: dict[str, Any]) -> RawResult:
         result = opt_buffered(instance, **kwargs)
         return RawResult(result.schedule, result.optimal)
     if solver == "bruteforce":
-        kwargs = _take_all(opts, "max_messages")
+        kwargs = _take_all(opts, "max_messages", "budget")
         _reject_unknown(opts, "buffered", "exact")
         result = opt_buffered_bruteforce(instance, **kwargs)
         return RawResult(result.schedule, result.optimal)

@@ -9,12 +9,14 @@ import pytest
 
 from repro import BudgetExceeded, ReproError, SolverBackendError, SolverBudget, api
 from repro.core.instance import make_instance
+from repro.core.schedule import Schedule
 from repro.exact import (
     bounds,
     bufferless,
     bufferless_lp_bound,
     cut_upper_bound,
     opt_buffered,
+    opt_buffered_bruteforce,
     opt_bufferless,
     opt_bufferless_bnb,
 )
@@ -78,6 +80,41 @@ class TestBnbBudget:
         plain = opt_bufferless_bnb(small)
         assert budgeted.schedule.delivered_ids == plain.schedule.delivered_ids
         assert budgeted.optimal and plain.optimal
+
+
+class TestBruteforceBudget:
+    def test_raise_carries_certified_bounds(self):
+        # four messages contending for link 1 at step 1: OPT = 1, and the
+        # fourth subset checked is the second of size 3
+        inst = make_instance(4, [(0, 2, 0, 2)] * 3 + [(1, 3, 1, 3)])
+        assert opt_buffered_bruteforce(inst).schedule.throughput == 1
+        with pytest.raises(BudgetExceeded, match="nodes budget") as excinfo:
+            opt_buffered_bruteforce(inst, budget=SolverBudget(nodes=3))
+        exc = excinfo.value
+        assert exc.lower == 0 and exc.incumbent is None
+        assert exc.upper == 3
+        assert exc.spent["nodes"] == 4
+
+    def test_wall_time_trips(self, small):
+        with pytest.raises(BudgetExceeded, match="wall_time budget"):
+            opt_buffered_bruteforce(small, budget=SolverBudget(wall_time=1e-9))
+
+    def test_facade_degrades(self, small):
+        opt = opt_buffered_bruteforce(small).schedule.throughput
+        res = api.solve(
+            small,
+            "buffered",
+            "exact",
+            solver="bruteforce",
+            budget=SolverBudget(nodes=1),
+            on_budget="degrade",
+        )
+        assert res.lower <= opt <= res.upper
+        assert type(res.schedule) is Schedule
+        roomy = api.solve(
+            small, "buffered", "exact", solver="bruteforce", budget=SolverBudget(nodes=10**6)
+        )
+        assert roomy.status == "optimal" and roomy.delivered == opt
 
 
 class TestApiDegrade:
@@ -184,6 +221,20 @@ class TestRingMeshBudget:
         assert res.status in ("bounded", "infeasible", "optimal")
         assert res.lower <= opt <= res.upper
         assert res.schedule.throughput == res.lower
+
+    @pytest.mark.parametrize("make,regime", RING_AND_MESH)
+    def test_degrade_keeps_the_topology_schedule_type(self, make, regime):
+        inst = make()
+        res = api.solve(
+            inst,
+            regime,
+            "exact",
+            budget=SolverBudget(wall_time=1e-6),
+            on_budget="degrade",
+        )
+        want = type(api.solve(inst, regime, "exact").schedule)
+        assert want is not Schedule
+        assert type(res.schedule) is want
 
     @pytest.mark.parametrize("make,regime", RING_AND_MESH)
     def test_limit_hit_with_incumbent_carries_certified_bounds(

@@ -146,3 +146,29 @@ class TestDistributedCharacter:
         simulate(inst, Audit())
         assert emitted, "control channel should be exercised"
         assert all(-1 <= v <= 7 for v in emitted)
+
+    def test_control_moves_one_hop_per_step(self):
+        # every value node v emits at t reaches v + 1 at t + 1, at every
+        # node and step (D-BFL is never fast-forwarded)
+        inst = make_instance(8, [(0, 7, 0, 12), (3, 6, 1, 9), (5, 7, 6, 9)])
+        sent: list[tuple[int, int]] = []
+        got: list[tuple[int, int]] = []
+
+        class Audit(DBFLPolicy):
+            def emit_control(self, node, time):
+                v = super().emit_control(node, time)
+                if v is not None and node + 1 < 8:
+                    sent.append((node + 1, time + 1))
+                return v
+
+            def receive_control(self, node, time, value):
+                got.append((node, time))
+                super().receive_control(node, time, value)
+
+        from repro.network import simulate
+
+        res = simulate(inst, Audit())
+        steps = res.stats.steps
+        assert sorted(got) == sorted(s for s in sent if s[1] < steps)
+        assert {t for _, t in sent} == set(range(1, steps + 1))
+        assert res.delivered_ids == bfl(inst).delivered_ids

@@ -6,7 +6,10 @@
 * the simulator's key-ordered fast path (no ``NodeView``, empty nodes
   skipped) gives the same ``SimulationResult`` as the general path, which
   ``TracingPolicy`` forces by overriding ``select`` — the general path is
-  the oracle for the fast one.
+  the oracle for the fast one;
+* D-BFL's ``select_at`` (its rule on the live buffer, no ``NodeView``)
+  gives the same result as its ``select`` asked through a view, and a
+  subclass that changes ``select`` alone is served by that ``select``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.buffers import ADMISSION_POLICIES
 from repro.core.dbfl import DBFLPolicy
 from repro.core.instance import Instance
 from repro.core.message import Message
-from repro.network import simulator as simulator_mod
+from repro.network import policy as policy_mod
 from repro.network.faults import FaultPlan, LinkFailure, NodeStall
 from repro.network.packet import Packet
 from repro.network.policy import NodeView, Policy
@@ -237,16 +240,112 @@ class TestFastPathParity:
     def test_keyed_fault_free_run_builds_no_node_view(self, cls):
         inst = general_instance(np.random.default_rng(3), n=12, k=40)
         with mock.patch.object(
-            simulator_mod, "NodeView", side_effect=AssertionError("NodeView built")
+            policy_mod, "NodeView", side_effect=AssertionError("NodeView built")
         ):
             res = simulate(inst, cls(), backend="python")
         assert res.throughput > 0
 
     def test_overriding_select_takes_the_node_view_path(self):
+        # ``Policy.select_at`` is the one place a NodeView is built
         inst = general_instance(np.random.default_rng(3), n=12, k=40)
-        with mock.patch.object(simulator_mod, "NodeView", wraps=NodeView) as spy:
+        with mock.patch.object(policy_mod, "NodeView", wraps=NodeView) as spy:
             simulate(inst, TracingPolicy(EDFPolicy()), backend="python")
         assert spy.call_count > 0
+
+
+# --------------------------------------------------------------------- #
+# D-BFL on its buffer ≡ D-BFL through a NodeView
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def dbfl_runs(draw):
+    inst = draw(st.one_of(line_instances(), ring_instances()))
+    kw = {
+        "buffer_capacity": draw(st.sampled_from([None, 1, 2])),
+        "admission": draw(st.sampled_from(ADMISSION_POLICIES)),
+        "backend": "python",
+    }
+    if draw(st.booleans()) and inst.messages:
+        kw["faults"] = draw(fault_plans(inst))
+    return inst, kw
+
+
+class ViewDBFL(DBFLPolicy):
+    """D-BFL's rule as a ``select`` over a view, written out independently
+    of ``DBFLPolicy.select_at``."""
+
+    def select(self, view):
+        v = view.node
+        l_value = self._l_in[v]
+        eligible = [p for p in view.candidates if p.message.source >= l_value]
+        chosen = min(eligible, key=self.key) if eligible else None
+        self._l_out[v] = v + 1 if chosen is not None and chosen.dest == v + 1 else l_value
+        self._l_in[v] = -1
+        return chosen
+
+
+class EdfSelect(DBFLPolicy):
+    """D-BFL's control channel with EDF's forwarding rule, stated as
+    ``select`` alone."""
+
+    def select(self, view):
+        return EDFPolicy().select(view)
+
+
+class AuditedDBFL(DBFLPolicy):
+    def emit_control(self, node, time):
+        return super().emit_control(node, time)
+
+
+class TestDBFLSelectAt:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(run=dbfl_runs())
+    def test_select_at_equals_node_view_path(self, run):
+        inst, kw = run
+        bare = simulate(inst, DBFLPolicy(), **kw)
+        traced = simulate(inst, TracingPolicy(DBFLPolicy()), **kw)
+        assert _result_fields(traced) == _result_fields(bare)
+        assert _result_fields(simulate(inst, ViewDBFL(), **kw)) == _result_fields(bare)
+
+    def test_fault_free_run_builds_no_node_view(self):
+        inst = general_instance(np.random.default_rng(3), n=12, k=40)
+        with mock.patch.object(
+            policy_mod, "NodeView", side_effect=AssertionError("NodeView built")
+        ):
+            res = simulate(inst, DBFLPolicy(), backend="python")
+        assert res.throughput > 0
+
+    def test_select_at_leaves_the_buffer_alone(self):
+        ps = [Packet(Message(i, i % 3, 4, 0, 9)) for i in range(5)]
+        buf = list(ps)
+        pol = DBFLPolicy()
+        pol.reset(5)
+        assert pol.select_at(2, 0, buf) is ps[2]
+        assert buf == ps
+
+    def test_overriding_select_alone_drops_the_inherited_select_at(self):
+        # a changed rule must not be served by the parent's fast path
+        assert EdfSelect.select_at is Policy.select_at
+        assert AuditedDBFL.select_at is DBFLPolicy.select_at
+        inst = general_instance(np.random.default_rng(3), n=12, k=40)
+        with mock.patch.object(policy_mod, "NodeView", wraps=NodeView) as spy:
+            simulate(inst, EdfSelect(), backend="python")
+        assert spy.call_count > 0
+
+    def test_mixed_in_select_wins_over_an_older_select_at(self):
+        class EdfMixin:
+            def select(self, view):
+                return EDFPolicy().select(view)
+
+        class Mixed(EdfMixin, DBFLPolicy):
+            pass
+
+        assert Mixed.select_at is Policy.select_at
 
 
 # --------------------------------------------------------------------- #

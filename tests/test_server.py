@@ -12,6 +12,7 @@ exceptions a local call would raise.
 
 import http.client
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ import pytest
 from repro import api, obs
 from repro.budget import SolverBudget
 from repro.client import ReproClient
-from repro.errors import BudgetExceeded, ConfigError, ServerError, ServerOverloaded
+from repro.errors import (
+    BudgetExceeded,
+    ConfigError,
+    ServerError,
+    ServerOverloaded,
+    SolverBackendError,
+)
 from repro.online import run_online
 from repro.server import ReproServer, error_body, solve_cell
 from repro.topology import topology_of
@@ -261,6 +268,54 @@ class TestExactDeadlines:
         inst = make()
         result = client.solve(inst, regime, "exact", deadline_ms=30_000.0)
         assert _stripped(result) == _stripped(api.solve(inst, regime, "exact"))
+
+    def test_bruteforce_takes_the_deadline_budget(self):
+        inst = _line(5, n=6, k=5)
+        out = solve_cell(
+            {
+                "instance": topology_of(inst).instance_to_dict(inst),
+                "regime": "buffered",
+                "method": "exact",
+                "options": {"solver": "bruteforce"},
+                "_deadline_s": 5.0,
+            }
+        )
+        assert out["ok"], out
+        assert out["result"]["status"] == "optimal"
+        want = api.solve(inst, "buffered", "exact", solver="bruteforce")
+        assert out["result"]["lower"] == want.delivered
+
+
+class TestBackendFailure:
+    """A HiGHS failure on a served exact solve is a typed 503, rebuilt as
+    ``SolverBackendError`` by the client."""
+
+    def test_solve_cell_types_it(self, monkeypatch):
+        from repro.exact import milp as exact_milp
+        from repro.server import ERROR_STATUS
+
+        monkeypatch.setattr(
+            exact_milp,
+            "milp",
+            lambda c, **kw: SimpleNamespace(x=None, status=4, message="solver error"),
+        )
+        inst = _ring()
+        out = solve_cell(
+            {
+                "instance": topology_of(inst).instance_to_dict(inst),
+                "regime": "buffered",
+                "method": "exact",
+            }
+        )
+        assert not out["ok"]
+        err = out["error"]
+        assert err["error"]["type"] == "solver_backend"
+        assert "HiGHS failed" in err["error"]["message"]
+        assert ERROR_STATUS["solver_backend"] == 503
+
+        exc = ReproClient._error_for(503, err, {})
+        assert isinstance(exc, SolverBackendError)
+        assert str(exc) == err["error"]["message"]
 
 
 class TestStreams:
