@@ -5,11 +5,14 @@ Times the one parse entrypoint the CLI, the server and the client share
 schedule half of a served BFL solve: ``io.schedule_to_dict`` on the
 kernel's schedule, ``io.schedule_from_dict`` and the client's
 ``ScheduleResult.from_dict``.  Sizes are the served one (n=32, k=200) and
-a large one (n=64, k=1000).  The parse, ``schedule_to_dict`` and
-``schedule_from_dict`` cases run on both document forms: ``columns``
-(version 2, what the writers emit) and ``rows`` (version 1, one object
-per message or trajectory, still read), so the cost of each form shows
-side by side.  Each case asserts that what it returns equals the
+a large one (n=64, k=1000).  The parse cases run on both instance forms:
+``columns`` (version 2, what the writer emits) and ``rows`` (version 1,
+one object per message, still read).  The ``schedule_to_dict`` and
+``schedule_from_dict`` cases run on three schedule forms: ``segments``
+(version 3, four int columns, what the writer emits for a bufferless
+schedule), ``columns`` (version 2, a crossings array per row, what it
+emits for a buffered one) and ``rows`` (version 1, still read), so the
+cost of each form shows side by side.  Each case asserts that what it returns equals the
 object-built instance or schedule (the readable BFL's), so a fast path
 that answers a different problem fails here.
 ``perfbench/run.py --workload serve --trace 1`` reports the same layers
@@ -29,6 +32,7 @@ from repro.workloads import general_instance
 
 SIZES = [(32, 200), (64, 1000)]
 FORMS = ["rows", "columns"]
+SCHEDULE_FORMS = ["rows", "columns", "segments"]
 MESSAGE_FIELDS = ("id", "source", "dest", "release", "deadline")
 
 
@@ -50,7 +54,21 @@ def _schedule_rows(schedule):
     }
 
 
-_WRITERS = {"rows": _schedule_rows, "columns": schedule_to_dict}
+def _schedule_crossings(schedule):
+    """The version-2 writer: a crossings array per trajectory."""
+    ids, sources, crossings = schedule.table
+    return {
+        "format": "repro-schedule",
+        "version": 2,
+        "trajectories": {
+            "message_id": list(ids),
+            "source": list(sources),
+            "crossings": list(map(list, crossings)),
+        },
+    }
+
+
+_WRITERS = {"rows": _schedule_rows, "columns": _schedule_crossings, "segments": schedule_to_dict}
 
 
 def _document(n, k):
@@ -78,14 +96,14 @@ def test_parse_instance(benchmark, n, k, payload_type, form):
 
 
 def _solved(n, k):
-    """The kernel's (table-built) result and the readable BFL's
+    """The kernel's (segment-built) result and the readable BFL's
     object-built schedule for the same instance."""
     inst, _ = _document(n, k)
     return api.solve(inst, "bufferless", "bfl"), bfl(inst)
 
 
 @pytest.mark.parametrize("n,k", SIZES, ids=[f"n{n}-k{k}" for n, k in SIZES])
-@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("form", SCHEDULE_FORMS)
 def test_schedule_to_dict(benchmark, n, k, form):
     result, expected = _solved(n, k)
     doc = benchmark(_WRITERS[form], result.schedule)
@@ -93,7 +111,7 @@ def test_schedule_to_dict(benchmark, n, k, form):
 
 
 @pytest.mark.parametrize("n,k", SIZES, ids=[f"n{n}-k{k}" for n, k in SIZES])
-@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("form", SCHEDULE_FORMS)
 def test_schedule_from_dict(benchmark, n, k, form):
     _, expected = _solved(n, k)
     doc = json.loads(json.dumps(_WRITERS[form](expected)))

@@ -6,10 +6,13 @@ Times the three layers of a ring BFL request on an n=32, k=270 ring
 document (``columns``, the version-2 form the writer emits, and ``rows``,
 the version-1 form still read), the ``ring_bfl`` kernel on the parsed
 (table-built) instance, the ``RingSchedule`` constructor's check on the
-kernel's trajectories, and the whole facade operation (parse, solve,
-``to_dict``, JSON).  Each case asserts that its schedule equals the one
-the reference greedy in ``tests/ring_oracle.py`` chooses, so a faster
-kernel or check that schedules differently fails here.
+kernel's trajectories, the schedule document both ways (``columns``,
+the version-2 helix segments the writer emits for a bufferless ring
+schedule, and ``rows``, the version-1 form it emits for a buffered one),
+and the whole facade operation (parse, solve, ``to_dict``, JSON).  Each
+case asserts that its schedule equals the one the reference greedy in
+``tests/ring_oracle.py`` chooses, so a faster kernel or check that
+schedules differently fails here.
 ``perfbench/run.py --workload offline --trace 1`` reports the cell end to
 end as ``solve.ring-bufferless-bfl.ms``.
 """
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.topology import topology_of
+from repro.topology import get_topology, topology_of
 from repro.topology.ring import RingSchedule, ring_bfl
 from repro.workloads.rings import random_ring_instance
 
@@ -71,6 +74,44 @@ def test_ring_schedule(benchmark):
     trajectories = EXPECTED.trajectories
     schedule = benchmark(RingSchedule, trajectories)
     assert schedule == EXPECTED
+
+
+def _schedule_rows(schedule):
+    """The version-1 ring writer: one object per trajectory."""
+    return {
+        "format": "repro-ring-schedule",
+        "version": 1,
+        "n": INSTANCE.n,
+        "throughput": schedule.throughput,
+        "trajectories": [
+            {
+                "message_id": t.message_id,
+                "source": t.source,
+                "depart": t.depart,
+                "arrive": t.arrive,
+                "span": t.span,
+            }
+            for t in schedule.trajectories
+        ],
+    }
+
+
+RING = get_topology("ring")
+_WRITERS = {"rows": _schedule_rows, "columns": RING.schedule_to_dict}
+
+
+@pytest.mark.parametrize("form", ["rows", "columns"])
+def test_schedule_to_dict(benchmark, form):
+    schedule = ring_bfl(api.parse_instance(_text("columns")))
+    doc = benchmark(_WRITERS[form], schedule)
+    assert RING.schedule_from_dict(doc) == EXPECTED
+
+
+@pytest.mark.parametrize("form", ["rows", "columns"])
+def test_schedule_from_dict(benchmark, form):
+    doc = json.loads(json.dumps(_WRITERS[form](EXPECTED)))
+    parsed = benchmark(RING.schedule_from_dict, doc)
+    assert parsed == EXPECTED
 
 
 def test_offline_operation(benchmark):

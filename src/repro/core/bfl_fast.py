@@ -32,7 +32,7 @@ from bisect import insort
 
 from .. import obs
 from .instance import Instance
-from .schedule import Schedule, TrajectoryTable
+from .schedule import Schedule, SegmentTable
 
 __all__ = ["bfl_fast", "assign_lines"]
 
@@ -77,7 +77,7 @@ def assign_lines(
     — index into the columns plus the scan line boarded — in the exact
     order the sweep commits them (line descending, then the per-line
     greedy's walk order).  :func:`bfl_fast` turns each decision into one
-    row of the schedule's trajectory table.
+    row of the schedule's segment table.
     """
     k = len(src)
     assignment: list[tuple[int, int]] = []
@@ -173,26 +173,27 @@ def bfl_fast(instance: Instance, *, clip_slack: bool = False) -> Schedule:
     assignment, lines_swept, segments_scanned = assign_lines(
         src, dst, mid, amin, amax
     )
-    # Each launch is the straight line of its columns' message on line
-    # `alpha`: departure src - alpha, one hop per step to dst.
-    ids, sources, crossings = [], [], []
+    # Each launch is the 45-degree segment of its columns' message on line
+    # `alpha`: it departs src - alpha and crosses dst - src links.
     for j, alpha in assignment:
         if not amin[j] <= alpha <= amax[j]:
             raise ValueError(
                 f"scan line {alpha} outside message {mid[j]}'s window "
                 f"[{amin[j]}, {amax[j]}]"
             )
-        depart = src[j] - alpha
-        ids.append(mid[j])
-        sources.append(src[j])
-        crossings.append(tuple(range(depart, depart + dst[j] - src[j])))
+    js, alphas = zip(*assignment)
+    sources = tuple(map(src.__getitem__, js))
+    segments = SegmentTable(
+        tuple(map(mid.__getitem__, js)),
+        sources,
+        tuple(map(operator.sub, sources, alphas)),
+        tuple(map(operator.sub, map(dst.__getitem__, js), sources)),
+    )
 
     if tr.enabled:
         tr.count("bfl.launches")
         tr.count("bfl.lines_swept", lines_swept)
         tr.count("bfl.segments_scanned", segments_scanned)
-        tr.count("bfl.delivered", len(ids))
-        tr.record_span("bfl.fast", t0, n=instance.n, k=len(src), delivered=len(ids))
-    return Schedule.from_table(
-        TrajectoryTable(tuple(ids), tuple(sources), tuple(crossings))
-    )
+        tr.count("bfl.delivered", len(js))
+        tr.record_span("bfl.fast", t0, n=instance.n, k=len(src), delivered=len(js))
+    return Schedule.from_segments(segments)

@@ -77,8 +77,9 @@ class MessageTable(NamedTuple):
 
 class BuiltFromTable:
     """A field of a table-built value object, built by ``build(obj)`` from
-    ``obj._table`` on first read (``Instance.messages``,
-    ``Schedule.trajectories``, ``RingInstance.messages``).
+    ``obj.<key>`` (``_table`` unless given) on first read
+    (``Instance.messages``, ``RingInstance.messages``, and
+    ``Schedule.trajectories`` from its ``_segments``).
 
     A non-data descriptor: attribute lookup tries the instance dict first,
     so once the field is stored there (by ``__init__``, or by the first
@@ -86,8 +87,9 @@ class BuiltFromTable:
     the same, but would slow every attribute read of every instance.
     """
 
-    def __init__(self, build: Callable[[Any], tuple]) -> None:
+    def __init__(self, build: Callable[[Any], tuple], key: str = "_table") -> None:
         self.build = build
+        self.key = key
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -95,7 +97,7 @@ class BuiltFromTable:
     def __get__(self, obj: Any, owner: type | None = None) -> Any:
         if obj is None:
             return ()  # the dataclass field's default
-        if "_table" not in obj.__dict__:
+        if self.key not in obj.__dict__:
             raise AttributeError(self.name)
         value = self.build(obj)
         obj.__dict__[self.name] = value

@@ -10,28 +10,37 @@ internal consistency but not instance-compatibility — use
 :func:`repro.core.validate.validate_schedule` for the full check against an
 :class:`~repro.core.instance.Instance`.
 
-The trajectories have two forms.  :attr:`Schedule.table` is a
-:class:`TrajectoryTable`: three columns (message id, source, crossing
-times) in schedule order, which is all ``len()``, ``throughput``,
-``delivered_ids`` and the JSON writer read.  ``Schedule.trajectories`` is
-the tuple of :class:`~repro.core.trajectory.Trajectory` objects the
-readable algorithms walk.  A schedule built from objects derives its table
-on first use; :meth:`Schedule.from_table` (the constructor the BFL kernel
-and the JSON reader use) builds the objects only when ``trajectories`` is
-first read.
+The trajectories have three forms.  A bufferless trajectory is one 45°
+segment on the scan line ``α = source − depart``, so an all-bufferless
+schedule is given by :attr:`Schedule.segments`, a :class:`SegmentTable` of
+four int columns (message id, source, departure, hop count) in schedule
+order.  :attr:`Schedule.table` is a :class:`TrajectoryTable` of crossing
+times (message id, source, one tuple per row), which holds buffered
+trajectories too.  ``Schedule.trajectories`` is the tuple of
+:class:`~repro.core.trajectory.Trajectory` objects the readable algorithms
+walk.
 
-Both constructors run one bulk check.  The ids must be unique.  When every
-trajectory is bufferless it is one segment on the scan line
-``α = source − depart``, and two such segments share a diagonal edge
-exactly when they lie on the same line and their node intervals overlap:
-the segments are sorted by ``(α, source, dest)`` and each is compared with
-its neighbour on the same line.  A schedule with a buffered trajectory is
-checked with one set of ``(node, time)`` edges instead, compared in size
-with the edge count.  Only a failed check runs the per-edge owner loop over
-``Trajectory`` objects, which names the first duplicate id or contested
-edge, so a rejected schedule raises the same error whichever constructor
-built it.  No edge map is kept: :meth:`Schedule.edge_owner` builds one with
-that same loop on demand.
+:meth:`Schedule.from_segments` (the constructor of the BFL kernel and of
+the version-3 JSON reader) keeps the segments only: ``len()``,
+``throughput``, ``delivered_ids``, ``bufferless`` and the JSON writer read
+them, the crossings are derived the first time ``table`` is read and the
+objects the first time ``trajectories`` is.  :meth:`Schedule.from_table`
+(the version-1 and version-2 reader) keeps an all-bufferless table as
+segments too.  A schedule built from objects derives either table on
+demand, so it writes the same document.
+
+Every constructor runs one bulk check.  On segments it is the scan-line
+check: ids are unique, every segment crosses a link, and two segments
+share a diagonal edge exactly when they lie on the same scan line and
+their node intervals overlap, so the segments are sorted by
+``(α, source, dest)`` and each is compared with its neighbour on the same
+line.  A schedule with a buffered trajectory is checked with one set of
+``(node, time)`` edges instead, compared in size with the edge count.
+Only a failed check builds the ``Trajectory`` objects and runs the
+per-edge owner loop, which names the first invalid row, duplicate id or
+contested edge, so a rejected schedule raises the same error whichever
+constructor built it.  No edge map is kept: :meth:`Schedule.edge_owner`
+builds one with that same loop on demand.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .instance import BuiltFromTable
 from .trajectory import DiagEdge, Trajectory
 
-__all__ = ["Schedule", "TrajectoryTable", "ConflictError"]
+__all__ = ["Schedule", "SegmentTable", "TrajectoryTable", "ConflictError"]
 
 _trajectory_fields = attrgetter("message_id", "source", "crossings")
 
@@ -70,36 +79,69 @@ class TrajectoryTable(NamedTuple):
         return tuple(map(Trajectory, *self))
 
 
-def _disjoint_lines(
-    ids: Sequence[int], sources: Sequence[int], crossings: Sequence[Sequence[int]]
-) -> bool | None:
-    """The scan-line bulk check.
+class SegmentTable(NamedTuple):
+    """An all-bufferless schedule's trajectories as four int columns, in
+    schedule order.
 
-    ``False`` on a repeated id or on two segments that overlap on one scan
-    line; ``None`` when some row is not bufferless (its crossings must
-    equal ``range(c0, c0 + len)``, which also makes them non-empty and
-    strictly increasing); ``True`` when the rows are conflict-free.
+    Row ``i`` leaves node ``source[i]`` at time ``depart[i]`` and crosses
+    ``hops[i]`` links, one per step: its crossing times are
+    ``range(depart[i], depart[i] + hops[i])``.
     """
+
+    message_id: tuple[int, ...]
+    source: tuple[int, ...]
+    depart: tuple[int, ...]
+    hops: tuple[int, ...]
+
+    @classmethod
+    def of(cls, table: TrajectoryTable) -> "SegmentTable | None":
+        """``table``'s rows as segments; ``None`` unless every row's
+        crossings equal ``range(c0, c0 + len)``, which also makes them
+        non-empty and strictly increasing."""
+        ids, sources, crossings = table
+        if not all(crossings):  # an empty row
+            return None
+        try:
+            firsts = tuple(map(itemgetter(0), crossings))
+            hops = tuple(map(len, crossings))
+            runs = map(tuple, map(range, firsts, map(add, firsts, hops)))
+            if not all(map(eq, crossings, runs)):
+                return None
+        except TypeError:  # non-integer times: leave them to the edge set
+            return None
+        return cls(ids, sources, firsts, hops)
+
+    def crossings(self) -> tuple[tuple[int, ...], ...]:
+        """Each row's crossing times."""
+        return tuple(map(tuple, map(range, self.depart, map(add, self.depart, self.hops))))
+
+    def to_table(self) -> TrajectoryTable:
+        return TrajectoryTable(self.message_id, self.source, self.crossings())
+
+    def to_trajectories(self) -> tuple[Trajectory, ...]:
+        """The rows as :class:`Trajectory` objects (each runs its validator)."""
+        return tuple(map(Trajectory, self.message_id, self.source, self.crossings()))
+
+
+def _disjoint_segments(segments: SegmentTable) -> bool:
+    """The scan-line bulk check: ``True`` iff no id repeats, every segment
+    crosses a link and no two segments overlap on one scan line."""
+    ids, sources, departs, hops = segments
     if len(set(ids)) != len(ids):
         return False
-    if not all(crossings):  # an empty row
-        return None
-    try:
-        firsts = list(map(itemgetter(0), crossings))
-        lengths = list(map(len, crossings))
-        runs = map(tuple, map(range, firsts, map(add, firsts, lengths)))
-        if not all(map(eq, crossings, runs)):
-            return None
-    except TypeError:  # non-integer times: leave them to the edge set
-        return None
     if not ids:
         return True
-    # One (alpha, source, dest) segment per row, sorted: with each line's
-    # segments in source order, two overlap somewhere iff some segment
-    # starts before its predecessor on that line ends.
-    alpha, start, end = zip(
-        *sorted(zip(map(sub, sources, firsts), sources, map(add, sources, lengths)))
-    )
+    try:
+        if min(hops) < 1:
+            return False
+        # One (alpha, source, dest) segment per row, sorted: with each
+        # line's segments in source order, two overlap somewhere iff some
+        # segment starts before its predecessor on that line ends.
+        alpha, start, end = zip(
+            *sorted(zip(map(sub, sources, departs), sources, map(add, sources, hops)))
+        )
+    except TypeError:  # non-integer fields: left to the row checks
+        return False
     return not any(map(and_, map(eq, alpha[1:], alpha), map(lt, start[1:], end)))
 
 
@@ -132,6 +174,14 @@ def _owner_map(trajectories: Iterable[Trajectory]) -> dict[DiagEdge, int]:
     return owner
 
 
+def _check_lengths(what: str, columns: NamedTuple) -> None:
+    """Refuse a ``what`` table whose columns differ in length."""
+    lengths = list(map(len, columns))
+    if len(set(lengths)) > 1:
+        named = ", ".join(f"{field} {n}" for field, n in zip(columns._fields, lengths))
+        raise ValueError(f"{what} table columns differ in length: {named}")
+
+
 class ConflictError(ValueError):
     """Two trajectories claim the same diagonal lattice edge."""
 
@@ -151,68 +201,109 @@ class Schedule:
     """An immutable, internally conflict-free set of trajectories."""
 
     trajectories: tuple[Trajectory, ...] = BuiltFromTable(  # type: ignore[assignment]
-        lambda sched: sched._table.to_trajectories()
+        lambda sched: sched._segments.to_trajectories(), key="_segments"
     )
 
     def __post_init__(self) -> None:
         trajectories = self.trajectories
-        ids, sources, crossings = TrajectoryTable.of(trajectories)
-        ok = _disjoint_lines(ids, sources, crossings)
-        if ok is None:
-            ok = _disjoint_edges(sources, crossings)
+        table = TrajectoryTable.of(trajectories)
+        segments = SegmentTable.of(table)
+        if segments is not None:
+            ok = _disjoint_segments(segments)
+        else:
+            ids, sources, crossings = table
+            ok = len(set(ids)) == len(ids) and _disjoint_edges(sources, crossings)
         if not ok:
             _owner_map(trajectories)  # raises the first conflict in order
 
     # ------------------------------------------------------------------ #
-    # The trajectory table (columns first, objects on demand)
+    # The column forms (segments first, crossings and objects on demand)
     # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_segments(cls, segments: SegmentTable) -> "Schedule":
+        """An all-bufferless schedule over ``segments``' columns.
+
+        Segments that pass the scan-line check are kept as they are, and
+        ``table`` and ``trajectories`` are built the first time they are
+        read.  Any other table goes through the object-built constructor,
+        which raises the error it raises for those trajectories.
+        """
+        _check_lengths("segment", segments)
+        if not _disjoint_segments(segments):
+            return cls(segments.to_trajectories())
+        sched = object.__new__(cls)
+        sched.__dict__["_segments"] = segments
+        return sched
 
     @classmethod
     def from_table(cls, table: TrajectoryTable) -> "Schedule":
         """A schedule over ``table``'s columns.
 
         A table whose rows are all bufferless and pass the scan-line check
-        is kept as it is, and ``trajectories`` is built the first time it
-        is read.  Any other table goes through the object-built
-        constructor, which accepts it (a valid buffered schedule) or raises
-        the error it raises for those trajectories.
+        is kept as segments (and as the table itself), and
+        ``trajectories`` is built the first time it is read.  Any other
+        table goes through the object-built constructor, which accepts it
+        (a valid buffered schedule) or raises the error it raises for
+        those trajectories.
         """
-        ids, sources, crossings = table
-        if not len(ids) == len(sources) == len(crossings):
-            raise ValueError(
-                f"trajectory table columns differ in length: {len(ids)} ids, "
-                f"{len(sources)} sources, {len(crossings)} crossings"
-            )
-        if not _disjoint_lines(ids, sources, crossings):
+        _check_lengths("trajectory", table)
+        segments = SegmentTable.of(table)
+        if segments is None or not _disjoint_segments(segments):
             return cls(table.to_trajectories())
         sched = object.__new__(cls)
-        sched.__dict__["_table"] = table
+        sched.__dict__.update(_segments=segments, _table=table)
         return sched
 
     @property
-    def table(self) -> TrajectoryTable:
-        """The trajectories as columns (derived once for object-built
+    def segments(self) -> SegmentTable | None:
+        """The trajectories as scan-line segments, or ``None`` when some
+        trajectory waits at a node (derived once for object-built
         schedules)."""
+        segments = self.__dict__.get("_segments")
+        if segments is None:
+            segments = SegmentTable.of(self.table)
+            if segments is not None:
+                object.__setattr__(self, "_segments", segments)
+        return segments
+
+    @property
+    def table(self) -> TrajectoryTable:
+        """The trajectories as crossing-time columns (derived once, from
+        the segments when the schedule has them)."""
         table = self.__dict__.get("_table")
         if table is None:
-            table = TrajectoryTable.of(self.trajectories)
+            segments = self.__dict__.get("_segments")
+            if segments is not None:
+                table = segments.to_table()
+            else:
+                table = TrajectoryTable.of(self.trajectories)
             object.__setattr__(self, "_table", table)
         return table
 
     def __getstate__(self) -> dict[str, Any]:
-        # The table is derived from the trajectories once they exist;
-        # pickle one form only, so object-built schedules pickle as they
-        # always did.
+        # Pickle one form only: the objects once they exist, so
+        # object-built schedules pickle as they always did, else the
+        # segments.  The crossings are always derived again.
         state = self.__dict__
-        if "trajectories" in state and "_table" in state:
-            state = {k: v for k, v in state.items() if k != "_table"}
+        drop = {"_table", "_segments"} if "trajectories" in state else {"_table"}
+        if not drop.isdisjoint(state):
+            state = {k: v for k, v in state.items() if k not in drop}
         return state
 
     def __setstate__(self, state: dict) -> None:
         # On-disk result caches written by older releases pickled an eager
-        # `_edge_owner` map with every schedule; shed it on load.
+        # `_edge_owner` map with every schedule (shed on load), or kept a
+        # bufferless schedule as its crossings table (read as segments).
         state = dict(state)
         state.pop("_edge_owner", None)
+        if "trajectories" not in state and "_segments" not in state:
+            table = state["_table"]
+            segments = SegmentTable.of(table)
+            if segments is None:
+                state["trajectories"] = table.to_trajectories()
+            else:
+                state["_segments"] = segments
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
@@ -228,23 +319,30 @@ class Schedule:
 
     @property
     def delivered_ids(self) -> frozenset[int]:
+        segments = self.__dict__.get("_segments")
+        if segments is not None:
+            return frozenset(segments.message_id)
         return frozenset(self.table.message_id)
 
     @property
     def bufferless(self) -> bool:
         """True iff no trajectory ever waits after departure."""
+        if "_segments" in self.__dict__:
+            return True
         return all(t.bufferless for t in self.trajectories)
 
     @property
     def total_wait(self) -> int:
         """Aggregate buffered steps across all trajectories."""
+        if "_segments" in self.__dict__:
+            return 0
         return sum(t.total_wait for t in self.trajectories)
 
     def __len__(self) -> int:
         trajectories = self.__dict__.get("trajectories")
         if trajectories is not None:
             return len(trajectories)
-        return len(self.__dict__["_table"].message_id)
+        return len(self.__dict__["_segments"].message_id)
 
     def __iter__(self) -> Iterator[Trajectory]:
         return iter(self.trajectories)

@@ -1,9 +1,9 @@
 """JSON (de)serialization for instances and schedules.
 
 The format is deliberately plain so traces can be generated, archived and
-diffed outside Python.  Writers emit version 2, which stores the messages
-as five equal-length int arrays (one entry per message, in message
-order):
+diffed outside Python.  Instance documents are version 2, which stores
+the messages as five equal-length int arrays (one entry per message, in
+message order):
 
 ```json
 {
@@ -20,13 +20,29 @@ order):
 }
 ```
 
-Schedules store crossing times per message, which round-trips buffered and
-bufferless trajectories alike: ``trajectories`` holds the arrays
-``message_id``, ``source`` and ``crossings`` (one int array per row).
-Version 1 documents hold one object per message (``{"id": 0, "source":
-0, ...}``) and one per trajectory, and load unchanged.  ``load_*``
-functions validate structure and re-run the model validators, so a
-hand-edited file cannot smuggle in an inconsistent object.
+Schedules have two forms, and the writer picks one from the schedule's
+content alone.  A schedule whose trajectories are all bufferless is
+written as version 3: each trajectory is one 45° segment on its scan line,
+so ``trajectories`` holds four int arrays, ``message_id``, ``source``,
+``depart`` and ``hops`` (crossing ``j`` of a row is at ``depart + j``):
+
+```json
+{
+  "format": "repro-schedule",
+  "version": 3,
+  "trajectories": {"message_id": [4, 1], "source": [0, 3], "depart": [2, 5], "hops": [3, 2]}
+}
+```
+
+Any other schedule is written as version 2, which stores crossing times
+per message and so round-trips buffered trajectories: ``trajectories``
+holds ``message_id``, ``source`` and ``crossings`` (one int array per
+row).  A reader that knows only versions 1 and 2 refuses a version-3
+document with ``unsupported version 3``.  Version 1 documents hold one
+object per message (``{"id": 0, "source": 0, ...}``) and one per
+trajectory, and load unchanged.  ``load_*`` functions validate structure
+and re-run the model validators, so a hand-edited file cannot smuggle in
+an inconsistent object.
 
 Every integer field goes through :func:`wire_int`: JSON integers and
 integral floats such as ``7.0`` pass, while a bool, a string or a
@@ -42,13 +58,21 @@ loop, its columns zipped back into rows first, so the caller gets the
 same ``ValueError``, with the same text, either way.  Columns of unequal
 length are refused, never truncated.
 
-Schedules are columns too.  :func:`schedule_to_dict` writes the columns
-of :attr:`Schedule.table <repro.core.schedule.Schedule.table>` and
-:func:`schedule_from_dict` reads them back into a
+Schedules are columns too.  :func:`schedule_to_dict` writes
+:attr:`Schedule.segments <repro.core.schedule.Schedule.segments>` (or the
+crossings of :attr:`Schedule.table <repro.core.schedule.Schedule.table>`
+for a buffered schedule), and :func:`schedule_from_dict` reads them back
+into a :class:`~repro.core.schedule.SegmentTable` checked by
+:meth:`~repro.core.schedule.Schedule.from_segments` (or a
 :class:`~repro.core.schedule.TrajectoryTable` checked by
-:meth:`~repro.core.schedule.Schedule.from_table`, so a BFL schedule goes
-from the kernel to JSON and back without a ``Trajectory`` object being
-built.  A schedule built from objects writes the same document.
+:meth:`~repro.core.schedule.Schedule.from_table`), so a BFL schedule goes
+from the kernel to JSON and back without a crossing tuple or a
+``Trajectory`` object being built.  A schedule built from objects writes
+the same document.  A document that fails the bulk check is read again
+with its columns zipped back into rows, every field through
+:func:`wire_int`, and a table that fails the scan-line check is rebuilt
+row by row as ``Trajectory`` objects, so its error is the one the row and
+object paths raise.
 
 The dict-level functions here are the *line* documents; ring and mesh
 instances carry a ``"topology"`` discriminator and are handled by their
@@ -56,8 +80,10 @@ topology's ``instance_to_dict`` / ``instance_from_dict``.  Ring instances
 are version-2 columns as well, read through the helpers the line reader
 uses: :func:`instance_table` (the bulk read into a ``MessageTable``) and
 :func:`instance_rows` (the rows, or the columns zipped back into rows,
-for the row-by-row read that names what is wrong).  Ring schedules and
-mesh documents still read and write version 1 only.
+for the row-by-row read that names what is wrong).  Ring schedules are
+version-2 columns when every trajectory is bufferless (read in bulk with
+:func:`plain_int_columns`, or as rows through :func:`column_rows`) and
+version-1 rows otherwise; mesh documents read and write version 1 only.
 :func:`repro.api.parse_instance` is the one shared parse entrypoint
 (CLI, server, client); :func:`load_instance` routes through it, so files
 of any topology load transparently.
@@ -78,7 +104,7 @@ from typing import Any
 
 from .core.instance import Instance, MessageTable
 from .core.message import Message
-from .core.schedule import Schedule, TrajectoryTable
+from .core.schedule import Schedule, SegmentTable, TrajectoryTable
 
 __all__ = [
     "wire_int",
@@ -95,17 +121,23 @@ __all__ = [
     "load_instance",
     "schedule_to_dict",
     "schedule_from_dict",
+    "plain_int_columns",
+    "column_rows",
     "save_schedule",
     "load_schedule",
 ]
 
 _INSTANCE_FORMAT = "repro-instance"
 _SCHEDULE_FORMAT = "repro-schedule"
-#: The version the writers here emit; the readers accept 1 (rows) and 2
-#: (columns).
+#: The instance version the writers here emit; the readers accept 1 (rows)
+#: and 2 (columns).
 _VERSION = 2
+#: The latest schedule version: 3 (segments) for an all-bufferless
+#: schedule, 2 (crossings) otherwise; the reader accepts 1 too.
+_SCHEDULE_VERSION = 3
 _MESSAGE_FIELDS = ("id", "source", "dest", "release", "deadline")
 _TRAJECTORY_FIELDS = ("message_id", "source", "crossings")
+_SEGMENT_FIELDS = SegmentTable._fields
 _row_values = itemgetter(*_MESSAGE_FIELDS)
 _trajectory_values = itemgetter(*_TRAJECTORY_FIELDS)
 
@@ -174,10 +206,10 @@ def instance_table(data: dict[str, Any]) -> tuple[int, MessageTable, int | None]
         if values is None:
             return None
         return n, MessageTable(*zip(*values)) if values else MessageTable.of(()), cap
-    columns = _column_lists(messages, _MESSAGE_FIELDS)
-    if columns is None or not set(map(type, chain.from_iterable(columns))) <= {int}:
+    columns = plain_int_columns(messages, _MESSAGE_FIELDS)
+    if columns is None:
         return None
-    return n, MessageTable(*map(tuple, columns)), cap
+    return n, MessageTable(*columns), cap
 
 
 def instance_rows(data: dict[str, Any], what: str) -> list[Any]:
@@ -192,7 +224,7 @@ def instance_rows(data: dict[str, Any], what: str) -> list[Any]:
     if data.get("version") != 2:
         _check_row_array(data, "messages", what)
         return data["messages"]
-    rows = _column_rows(data, "messages", _MESSAGE_FIELDS, what)
+    rows = column_rows(data, "messages", _MESSAGE_FIELDS, what)
     return [dict(zip(_MESSAGE_FIELDS, row)) for row in rows]
 
 
@@ -223,7 +255,7 @@ def _column_lists(columns: Any, fields: tuple[str, ...]) -> list[list[Any]] | No
     return None
 
 
-def _column_rows(
+def column_rows(
     data: dict[str, Any], key: str, fields: tuple[str, ...], what: str
 ) -> list[tuple[Any, ...]]:
     """The version-2 table ``data[key]`` zipped back into rows (one value
@@ -323,26 +355,34 @@ def message_row(message: Any) -> dict[str, Any]:
 
 
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
-    ids, sources, crossings = schedule.table
-    return {
-        "format": _SCHEDULE_FORMAT,
-        "version": _VERSION,
-        "trajectories": {
+    """A schedule document: version-3 segment columns when every trajectory
+    is bufferless, version-2 crossings otherwise."""
+    segments = schedule.segments
+    if segments is not None:
+        version, columns = 3, dict(zip(_SEGMENT_FIELDS, map(list, segments)))
+    else:
+        ids, sources, crossings = schedule.table
+        version, columns = 2, {
             "message_id": list(ids),
             "source": list(sources),
             "crossings": list(map(list, crossings)),
-        },
-    }
+        }
+    return {"format": _SCHEDULE_FORMAT, "version": version, "trajectories": columns}
 
 
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
-    """Parse a schedule document into a table-backed :class:`Schedule`.
+    """Parse a schedule document into a column-backed :class:`Schedule`.
 
     Falls back to the row-by-row read whenever a field is not a plain int
     or a row or column is missing or malformed, so errors are that read's
     own.
     """
-    version = _check_header(data, _SCHEDULE_FORMAT, latest=_VERSION)
+    version = _check_header(data, _SCHEDULE_FORMAT, latest=_SCHEDULE_VERSION)
+    if version == 3:
+        segments = _plain_segment_columns(data.get("trajectories"))
+        if segments is None:
+            segments = _segment_table_from_columns(data)
+        return Schedule.from_segments(segments)  # re-validates the scan lines
     if version == 1:
         table = _plain_trajectory_table(data.get("trajectories"))
         if table is None:
@@ -353,6 +393,42 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
         if table is None:
             table = _trajectory_table_from_columns(data)
     return Schedule.from_table(table)  # re-validates edge-disjointness
+
+
+def plain_int_columns(columns: Any, fields: tuple[str, ...]) -> list[tuple[int, ...]] | None:
+    """The ``fields`` columns of a version-2 (or later) table as int
+    tuples, checked in bulk.
+
+    ``None`` unless ``columns`` holds every field as an array, all of one
+    length and all of plain ints; the caller then zips the columns back
+    into rows (:func:`column_rows`) for the read that names what is wrong.
+    Shared by the line and ring schedule readers.
+    """
+    values = _column_lists(columns, fields)
+    if values is None or not set(map(type, chain.from_iterable(values))) <= {int}:
+        return None
+    return list(map(tuple, values))
+
+
+def _plain_segment_columns(columns: Any) -> SegmentTable | None:
+    values = plain_int_columns(columns, _SEGMENT_FIELDS)
+    return None if values is None else SegmentTable(*values)
+
+
+def _segment_table_from_columns(data: dict[str, Any]) -> SegmentTable:
+    """The version-3 error path: the columns zipped back into rows, every
+    field through :func:`wire_int`."""
+    ids, sources, departs, hops = [], [], [], []
+    for i, (mid, source, depart, count) in enumerate(
+        column_rows(data, "trajectories", _SEGMENT_FIELDS, "schedule")
+    ):
+        mid = wire_int(mid, "message_id", f"trajectory at row {i}")
+        owner = f"trajectory for message {mid}"
+        ids.append(mid)
+        sources.append(wire_int(source, "source", owner))
+        departs.append(wire_int(depart, "depart", owner))
+        hops.append(wire_int(count, "hops", owner))
+    return SegmentTable(tuple(ids), tuple(sources), tuple(departs), tuple(hops))
 
 
 def _plain_trajectory_table(rows: Any) -> TrajectoryTable | None:
@@ -411,7 +487,7 @@ def _trajectory_table_from_columns(data: dict[str, Any]) -> TrajectoryTable:
     """The version-2 error path: the columns zipped back into rows, each
     checked as the row-by-row read checks it."""
     return _checked_trajectory_table(
-        _column_rows(data, "trajectories", _TRAJECTORY_FIELDS, "schedule")
+        column_rows(data, "trajectories", _TRAJECTORY_FIELDS, "schedule")
     )
 
 
@@ -478,7 +554,7 @@ def _check_header(data: dict[str, Any], expected: str, latest: int = 1) -> Any:
     """Check a document's ``format`` and that its ``version`` is one of
     ``1..latest``; returns the version.
 
-    Ring and mesh documents keep the default: version 1 only.
+    Mesh documents keep the default: version 1 only.
     """
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")

@@ -24,8 +24,11 @@ Like the line's :class:`~repro.core.instance.Instance`, a
 (:attr:`RingInstance.table`, checked in bulk by
 :meth:`RingInstance.from_table`); the wire reader and ``ring_bfl`` use
 only the columns, and ``RingMessage`` objects are built the first time
-``messages`` is read.  Ring instance documents are version-2 columns;
-ring schedule documents stay version-1 rows.
+``messages`` is read.  Ring instance documents are version-2 columns.
+A ring schedule whose trajectories are all bufferless is a version-2
+document too: ``n`` plus the columns ``message_id``, ``source``,
+``depart`` and ``span``, one helix segment per row; a schedule holding a
+:class:`BufferedRingTrajectory` stays version-1 rows.
 
 This module is the home of everything ring-shaped: the data model, the
 helix greedy, the buffered trajectory shape and the :class:`Ring`
@@ -236,6 +239,9 @@ class BufferedRingTrajectory(RingTrajectory):
 
 
 _ring_fields = attrgetter("message_id", "source", "depart", "span", "n")
+#: The columns of a version-2 ring schedule document (plus its ``n``).
+_SEGMENT_FIELDS = ("message_id", "source", "depart", "span")
+_segment_fields = attrgetter(*_SEGMENT_FIELDS)
 
 
 def _disjoint_helices(trajectories: Sequence[RingTrajectory]) -> bool:
@@ -276,6 +282,41 @@ def _disjoint_helices(trajectories: Sequence[RingTrajectory]) -> bool:
         )
     )
     return not any(map(and_, map(eq, helix[1:], helix), map(lt, depart[1:], arrive)))
+
+
+def _trajectories_from_rows(rows: Any, n: Any) -> tuple[RingTrajectory, ...]:
+    """The row-by-row read of a ring schedule document: every field
+    through :func:`~repro.io.wire_int`, a ``hop_times`` array making the
+    row a :class:`BufferedRingTrajectory`."""
+    from ..io import check_row_object, wire_int, wire_int_array
+
+    if rows is None:
+        raise ValueError("missing field 'trajectories' in ring schedule data")
+    trajectories: list[RingTrajectory] = []
+    try:
+        for i, row in enumerate(rows):
+            where = f"trajectory at row {i}"
+            mid = wire_int(check_row_object(row, where)["message_id"], "message_id", where)
+            owner = f"trajectory for message {mid}"
+            fields = {
+                "message_id": mid,
+                "source": wire_int(row["source"], "source", owner),
+                "depart": wire_int(row["depart"], "depart", owner),
+                "span": wire_int(row["span"], "span", owner),
+                "n": wire_int(n, "n", "ring schedule"),
+            }
+            if row.get("hop_times") is not None:
+                trajectories.append(
+                    BufferedRingTrajectory(
+                        **fields,
+                        hop_times=wire_int_array(row["hop_times"], "hop_times", owner),
+                    )
+                )
+            else:
+                trajectories.append(RingTrajectory(**fields))
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc} in ring schedule data") from exc
+    return tuple(trajectories)
 
 
 def _claim_slots(trajectories: Iterable[RingTrajectory]) -> None:
@@ -535,8 +576,23 @@ class Ring(Topology):
     # ----------------------------------------------------------- #
 
     def schedule_to_dict(self, schedule: Any) -> dict[str, Any]:
-        trajs = []
-        for t in schedule.trajectories:
+        """A ring schedule document: version-2 columns ``message_id``,
+        ``source``, ``depart`` and ``span`` when every trajectory is a
+        bufferless :class:`RingTrajectory`, version-1 rows otherwise."""
+        trajectories = schedule.trajectories
+        out = {
+            "format": "repro-ring-schedule",
+            "version": 1,
+            "n": trajectories[0].n if trajectories else None,
+            "throughput": schedule.throughput,
+        }
+        if set(map(type, trajectories)) <= {RingTrajectory}:
+            columns = list(zip(*map(_segment_fields, trajectories))) or [()] * 4
+            out["version"] = 2
+            out["trajectories"] = dict(zip(_SEGMENT_FIELDS, map(list, columns)))
+            return out
+        rows = []
+        for t in trajectories:
             row: dict[str, Any] = {
                 "message_id": t.message_id,
                 "source": t.source,
@@ -546,46 +602,33 @@ class Ring(Topology):
             }
             if isinstance(t, BufferedRingTrajectory):
                 row["hop_times"] = list(t.hop_times)
-            trajs.append(row)
-        n = schedule.trajectories[0].n if schedule.trajectories else None
-        return {
-            "format": "repro-ring-schedule",
-            "version": 1,
-            "n": n,
-            "throughput": schedule.throughput,
-            "trajectories": trajs,
-        }
+            rows.append(row)
+        out["trajectories"] = rows
+        return out
 
     def schedule_from_dict(self, data: dict[str, Any]) -> RingSchedule:
-        from ..io import _check_header, check_row_object, wire_int, wire_int_array
+        """The inverse of :meth:`schedule_to_dict`.
 
-        _check_header(data, "repro-ring-schedule")
+        Version-2 columns of plain ints (and an int ``n``) are read in
+        bulk; any other version-2 table is zipped back into rows, so its
+        error is the version-1 row read's.
+        """
+        from ..io import _check_header, _check_row_array, column_rows, plain_int_columns
+
+        version = _check_header(data, "repro-ring-schedule", latest=2)
         n = data.get("n")  # None on an empty schedule
-        trajectories: list[RingTrajectory] = []
-        try:
-            for i, row in enumerate(data["trajectories"]):
-                where = f"trajectory at row {i}"
-                mid = wire_int(check_row_object(row, where)["message_id"], "message_id", where)
-                owner = f"trajectory for message {mid}"
-                fields = {
-                    "message_id": mid,
-                    "source": wire_int(row["source"], "source", owner),
-                    "depart": wire_int(row["depart"], "depart", owner),
-                    "span": wire_int(row["span"], "span", owner),
-                    "n": wire_int(n, "n", "ring schedule"),
-                }
-                if row.get("hop_times") is not None:
-                    trajectories.append(
-                        BufferedRingTrajectory(
-                            **fields,
-                            hop_times=wire_int_array(row["hop_times"], "hop_times", owner),
-                        )
-                    )
-                else:
-                    trajectories.append(RingTrajectory(**fields))
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc} in ring schedule data") from exc
-        return RingSchedule(tuple(trajectories))  # re-validates slot-disjointness
+        if version == 1:
+            _check_row_array(data, "trajectories", "ring schedule")
+            rows = data.get("trajectories")
+        else:
+            columns = plain_int_columns(data.get("trajectories"), _SEGMENT_FIELDS)
+            if columns is not None and (type(n) is int or not columns[0]):
+                return RingSchedule(tuple(map(RingTrajectory, *columns, repeat(n))))
+            rows = [
+                dict(zip(_SEGMENT_FIELDS, row))
+                for row in column_rows(data, "trajectories", _SEGMENT_FIELDS, "ring schedule")
+            ]
+        return RingSchedule(_trajectories_from_rows(rows, n))  # re-validates the slots
 
     def instance_to_dict(self, instance: Any) -> dict[str, Any]:
         from ..io import instance_to_dict

@@ -143,7 +143,7 @@ class TestSolve:
 
         validate_schedule(load_instance(instance_file), load_schedule(out))
 
-    def test_out_writes_version_2_columns(self, capsys, tmp_path, instance_file):
+    def test_out_writes_segment_columns(self, capsys, tmp_path, instance_file):
         import json
 
         from repro.core.bfl_fast import bfl_fast
@@ -152,8 +152,8 @@ class TestSolve:
         out = tmp_path / "sched.json"
         assert main(["solve", str(instance_file), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["version"] == 2
-        assert set(doc["trajectories"]) == {"message_id", "source", "crossings"}
+        assert doc["version"] == 3
+        assert set(doc["trajectories"]) == {"message_id", "source", "depart", "hops"}
         assert load_schedule(out) == bfl_fast(load_instance(instance_file))
 
     @pytest.mark.parametrize("algorithm", ["bfl", "dbfl", "edf", "exact"])

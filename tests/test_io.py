@@ -127,6 +127,10 @@ def _v1_schedule(rows):
     return {"format": "repro-schedule", "version": 1, "trajectories": rows}
 
 
+def _v2_schedule(**columns):
+    return {"format": "repro-schedule", "version": 2, "trajectories": columns}
+
+
 class TestMalformedRows:
     """A version-1 row or array field of the wrong JSON type is a
     ``ValueError`` naming its row, like every other malformed document."""
@@ -217,8 +221,7 @@ class TestWireIntegers:
 
     @pytest.mark.parametrize("bad", [[2.7, 3.2], ["2", "3"], [True, 3]])
     def test_schedule_crossings(self, bad):
-        doc = schedule_to_dict(Schedule((Trajectory(5, 1, (2, 3)),)))
-        doc["trajectories"]["crossings"][0] = bad
+        doc = _v2_schedule(message_id=[5], source=[1], crossings=[bad])
         with pytest.raises(ValueError, match="trajectory for message 5: field 'crossings'"):
             schedule_from_dict(doc)
         rows = _v1_schedule([{"message_id": 5, "source": 1, "crossings": bad}])
@@ -244,7 +247,10 @@ class TestWireIntegers:
         with pytest.raises(ValueError, match="field 'release' must be an integer"):
             api.parse_instance(doc)
         result = api.solve(inst, "bufferless", "bfl").to_dict()
-        result["schedule"]["trajectories"][0][key] += 0.7
+        if shape == "ring":  # version-2 columns
+            result["schedule"]["trajectories"][key][0] += 0.7
+        else:
+            result["schedule"]["trajectories"][0][key] += 0.7
         with pytest.raises(ValueError, match=f"field '{key}' must be an integer"):
             api.ScheduleResult.from_dict(result)
 
@@ -260,8 +266,7 @@ class TestWireIntegers:
             WorkloadTrace.from_dict(bad_header)
 
     def test_schedule_integral_floats(self):
-        doc = schedule_to_dict(Schedule((Trajectory(5, 1, (2, 3)),)))
-        doc["trajectories"].update(message_id=[5.0], source=[1.0], crossings=[[2.0, 3.0]])
+        doc = _v2_schedule(message_id=[5.0], source=[1.0], crossings=[[2.0, 3.0]])
         rows = _v1_schedule([{"message_id": 5.0, "source": 1.0, "crossings": [2.0, 3.0]}])
         for again in map(schedule_from_dict, (doc, rows)):
             assert again.trajectories == (Trajectory(5, 1, (2, 3)),)

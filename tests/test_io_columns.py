@@ -1,15 +1,24 @@
-"""Version-2 line documents: messages and trajectories as columns.
+"""Column documents: line instances and schedules, ring instances and
+schedules.
 
 * a version-1 rows document and a version-2 columns document of the same
   instance or schedule parse to equal objects, or raise the same error;
-* a version-2 document that fails the bulk check is zipped back into rows,
-  so its error names the same message and field as the row read's;
+* an all-bufferless line schedule is a version-3 document of scan-line
+  segments (``message_id``, ``source``, ``depart``, ``hops``), and an
+  all-bufferless ring schedule a version-2 document of helix segments
+  (``n`` plus ``message_id``, ``source``, ``depart``, ``span``); buffered
+  schedules keep crossings (line, version 2) or rows (ring, version 1);
+* a columns document that fails the bulk check is zipped back into rows,
+  so its error names the same message and field as the row read's, and a
+  segment table that fails the scan-line check raises what the
+  object-built schedule raises;
 * columns of unequal length are refused, never truncated;
 * ring instance documents are columns too, read through the same helpers
-  (so their errors are the row read's); ring schedule and mesh documents
-  still accept version 1 only;
-* documents written before version 2 (``tests/data/v1``) load to the same
-  objects as their version-2 re-encodings.
+  (so their errors are the row read's); mesh documents still accept
+  version 1 only;
+* documents written before version 3 (``tests/data/v1``,
+  ``tests/data/v2``) load to the same objects as a fresh solve, and
+  re-encode to the documents a fresh solve writes.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.core.instance import Instance
 from repro.core.message import Message
-from repro.core.schedule import Schedule
+from repro.core.schedule import ConflictError, Schedule
 from repro.core.trajectory import Trajectory
 from repro.io import (
     instance_from_dict,
@@ -37,13 +46,22 @@ from repro.io import (
     wire_message_row,
 )
 from repro.topology import get_topology, topology_of
-from repro.topology.ring import RingInstance, RingMessage
+from repro.topology.ring import (
+    BufferedRingTrajectory,
+    RingInstance,
+    RingMessage,
+    RingSchedule,
+    RingTrajectory,
+)
 from repro.workloads.meshes import random_mesh_instance
 from repro.workloads.rings import random_ring_instance
 
 V1 = Path(__file__).parent / "data" / "v1"
+V2 = Path(__file__).parent / "data" / "v2"
 MESSAGE_FIELDS = ("id", "source", "dest", "release", "deadline")
 TRAJECTORY_FIELDS = ("message_id", "source", "crossings")
+SEGMENT_FIELDS = ("message_id", "source", "depart", "hops")
+RING_FIELDS = ("message_id", "source", "depart", "span")
 
 
 def _v1_instance(doc):
@@ -79,6 +97,41 @@ def _v2_schedule(doc):
         **doc,
         "version": 2,
         "trajectories": {f: [row[f] for row in rows] for f in TRAJECTORY_FIELDS},
+    }
+
+
+def _v3_schedule(doc):
+    """A version-1 or version-2 document whose rows are all bufferless, as
+    the version-3 segment columns the writer emits for it."""
+    if doc["version"] == 1:
+        doc = _v2_schedule(doc)
+    columns = doc["trajectories"]
+    crossings = columns["crossings"]
+    return {
+        **doc,
+        "version": 3,
+        "trajectories": {
+            "message_id": columns["message_id"],
+            "source": columns["source"],
+            "depart": [c[0] for c in crossings],
+            "hops": [len(c) for c in crossings],
+        },
+    }
+
+
+def _crossings_schedule(doc):
+    """A version-3 document as the version-2 crossings it stands for."""
+    columns = doc["trajectories"]
+    return {
+        **doc,
+        "version": 2,
+        "trajectories": {
+            "message_id": columns["message_id"],
+            "source": columns["source"],
+            "crossings": [
+                list(range(d, d + h)) for d, h in zip(columns["depart"], columns["hops"])
+            ],
+        },
     }
 
 
@@ -138,11 +191,28 @@ class TestWriters:
         result = api.solve(parsed, "bufferless", "bfl")
         doc = result.to_dict()
         assert "messages" not in vars(parsed)
-        assert "trajectories" not in vars(result.schedule)
-        assert doc["schedule"]["version"] == 2
+        assert set(vars(result.schedule)) == {"_segments"}  # no crossings either
+        assert doc["schedule"]["version"] == 3
         again = api.ScheduleResult.from_dict(json.loads(json.dumps(doc)))
-        assert "trajectories" not in vars(again.schedule)
+        assert set(vars(again.schedule)) == {"_segments"}
         assert again.schedule == result.schedule
+
+    def test_bufferless_schedule_segments(self):
+        # whichever constructor built it
+        rows = (Trajectory(3, 1, (4, 5, 6)), Trajectory(7, 0, (2,)))
+        want = {
+            "format": "repro-schedule",
+            "version": 3,
+            "trajectories": {
+                "message_id": [3, 7],
+                "source": [1, 0],
+                "depart": [4, 2],
+                "hops": [3, 1],
+            },
+        }
+        assert schedule_to_dict(Schedule(rows)) == want
+        assert schedule_to_dict(schedule_from_dict(_crossings_schedule(want))) == want
+        assert schedule_from_dict(want) == Schedule(rows)
 
     def test_line_topology_and_client_body(self, paper_example):
         doc = topology_of(paper_example).instance_to_dict(paper_example)
@@ -263,7 +333,8 @@ class TestRowsAndColumnsAgree:
         got, want = new[1], old[1]
         assert got == want and got.table == want.table
         assert got.delivered_ids == want.delivered_ids
-        assert schedule_to_dict(got) == _v2_schedule(doc)
+        expected = _v3_schedule(doc) if want.bufferless else _v2_schedule(doc)
+        assert schedule_to_dict(got) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -338,13 +409,17 @@ class TestRowsAndColumnsAgree:
             for regime, method in [("bufferless", "bfl"), ("buffered", "greedy")]:
                 sched = api.solve(inst, regime, method).schedule
                 doc = json.loads(json.dumps(schedule_to_dict(sched)))
-                rows, columns = (
-                    schedule_from_dict(_v1_schedule(doc)),
+                assert doc["version"] == (3 if sched.bufferless else 2)
+                crossings = _crossings_schedule(doc) if doc["version"] == 3 else doc
+                rows, columns, segments = (
+                    schedule_from_dict(_v1_schedule(crossings)),
+                    schedule_from_dict(crossings),
                     schedule_from_dict(doc),
                 )
-                assert rows == columns == sched
-                assert rows.table == columns.table == sched.table
+                assert rows == columns == segments == sched
+                assert rows.table == columns.table == segments.table == sched.table
                 assert rows.delivered_ids == columns.delivered_ids == sched.delivered_ids
+                assert schedule_to_dict(rows) == schedule_to_dict(columns) == doc
 
 
 # --------------------------------------------------------------------- #
@@ -368,6 +443,12 @@ def _schedule_doc(**columns):
     base = {"message_id": [5, 6], "source": [1, 0], "crossings": [[2, 3], [0]]}
     base.update(columns)
     return {"format": "repro-schedule", "version": 2, "trajectories": base}
+
+
+def _segment_doc(**columns):
+    base = {"message_id": [5, 6], "source": [1, 0], "depart": [2, 0], "hops": [2, 1]}
+    base.update(columns)
+    return {"format": "repro-schedule", "version": 3, "trajectories": base}
 
 
 class TestMalformedColumns:
@@ -507,8 +588,15 @@ class TestVersions:
     def test_line_versions(self, version):
         with pytest.raises(ValueError, match=r"unsupported version .* \(supported: 1\.\.2\)"):
             instance_from_dict({**_instance_doc(), "version": version})
-        with pytest.raises(ValueError, match=r"\(supported: 1\.\.2\)"):
+        # schedules go up to version 3, whose table holds segments
+        match = "missing field 'depart'" if version == 3 else r"\(supported: 1\.\.3\)"
+        with pytest.raises(ValueError, match=match):
             schedule_from_dict({**_schedule_doc(), "version": version})
+
+    @pytest.mark.parametrize("version", [4, "3"])
+    def test_line_schedule_versions_past_3(self, version):
+        with pytest.raises(ValueError, match=r"unsupported version .* \(supported: 1\.\.3\)"):
+            schedule_from_dict({**_segment_doc(), "version": version})
 
     def test_version_decides_the_form(self):
         with pytest.raises(ValueError, match="must be an object of arrays"):
@@ -517,6 +605,8 @@ class TestVersions:
             instance_from_dict({**_instance_doc(), "version": 1})
         with pytest.raises(ValueError, match="must be an array of objects"):
             schedule_from_dict({**_schedule_doc(), "version": 1})
+        with pytest.raises(ValueError, match="missing field 'crossings'"):
+            schedule_from_dict({**_segment_doc(), "version": 2})
 
     def test_mesh_documents_stay_version_1(self):
         inst = random_mesh_instance(np.random.default_rng(3), rows=4, cols=4, k=10)
@@ -531,7 +621,7 @@ class TestVersions:
         with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 1\)"):
             topo.schedule_from_dict({**sched, "version": 2})
 
-    def test_ring_instances_are_version_2_and_schedules_version_1(self):
+    def test_ring_instances_and_bufferless_schedules_are_version_2(self):
         inst = random_ring_instance(np.random.default_rng(7), n=8, k=10)
         topo = topology_of(inst)
         doc = topo.instance_to_dict(inst)
@@ -542,10 +632,243 @@ class TestVersions:
         for version in (0, 3, "2", None):
             with pytest.raises(ValueError, match=r"unsupported version .* \(supported: 1\.\.2\)"):
                 api.parse_instance({**doc, "version": version})
-        sched = topo.schedule_to_dict(api.solve(inst, "bufferless", "bfl").schedule)
-        assert sched["version"] == 1
-        with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 1\)"):
-            topo.schedule_from_dict({**sched, "version": 2})
+        schedule = api.solve(inst, "bufferless", "bfl").schedule
+        sched = topo.schedule_to_dict(schedule)
+        assert sched["version"] == 2 and sched["n"] == 8
+        assert set(sched["trajectories"]) == set(RING_FIELDS)
+        assert topo.schedule_from_dict(json.loads(json.dumps(sched))) == schedule
+        for version in (0, 3, "2", None):
+            with pytest.raises(ValueError, match=r"unsupported version .* \(supported: 1\.\.2\)"):
+                topo.schedule_from_dict({**sched, "version": version})
+        # a buffered trajectory keeps the whole schedule in version-1 rows
+        waits = BufferedRingTrajectory(99, 0, 20, 2, 8, hop_times=(20, 22))
+        buffered = RingSchedule(schedule.trajectories + (waits,))
+        rows = topo.schedule_to_dict(buffered)
+        assert rows["version"] == 1 and rows["trajectories"][-1]["hop_times"] == [20, 22]
+        assert topo.schedule_from_dict(json.loads(json.dumps(rows))) == buffered
+
+
+# --------------------------------------------------------------------- #
+# segment documents: line version 3, ring version 2
+# --------------------------------------------------------------------- #
+
+
+def _reference_segment_read(data):
+    """A version-3 line document read row by row: the columns zipped back
+    into rows, every field through ``wire_int``, one ``Trajectory`` per
+    row, then the object-built ``Schedule``."""
+    columns = data["trajectories"]
+    rows = zip(*(columns[f] for f in SEGMENT_FIELDS))
+    trajectories = []
+    for i, (mid, source, depart, hops) in enumerate(rows):
+        mid = wire_int(mid, "message_id", f"trajectory at row {i}")
+        owner = f"trajectory for message {mid}"
+        source = wire_int(source, "source", owner)
+        depart = wire_int(depart, "depart", owner)
+        hops = wire_int(hops, "hops", owner)
+        trajectories.append((mid, source, depart, hops))
+    return Schedule(
+        tuple(Trajectory(mid, s, tuple(range(d, d + h))) for mid, s, d, h in trajectories)
+    )
+
+
+def _ring_rows_doc(doc):
+    """A version-2 ring schedule document as the version-1 rows it stands
+    for (one object per trajectory)."""
+    columns = doc["trajectories"]
+    rows = [dict(zip(RING_FIELDS, row)) for row in zip(*(columns[f] for f in RING_FIELDS))]
+    return {**doc, "version": 1, "trajectories": rows}
+
+
+def _ring_doc(n=6, **columns):
+    base = {"message_id": [5, 6], "source": [1, 4], "depart": [0, 2], "span": [2, 3]}
+    base.update(columns)
+    return {"format": "repro-ring-schedule", "version": 2, "n": n, "trajectories": base}
+
+
+def _ring_read(doc):
+    return get_topology("ring").schedule_from_dict(doc)
+
+
+_segment_columns = st.integers(0, 6).flatmap(
+    lambda k: st.tuples(
+        *(
+            st.lists(values, min_size=k, max_size=k)
+            for values in (
+                st.integers(0, 5),
+                st.integers(0, 6),
+                st.integers(-1, 6),
+                st.integers(-1, 4),
+            )
+        )
+    )
+)
+
+_wire_segment_columns = st.integers(0, 4).flatmap(
+    lambda k: st.tuples(*(st.lists(_wire_values, min_size=k, max_size=k) for _ in range(4)))
+)
+
+# One well-formed case per malformation: the reader's outcome must be the
+# row and object path's (type and text).
+_MALFORMED = {
+    "bool id": {"message_id": [5, True]},
+    "bool source": {"source": [False, 0]},
+    "fractional depart": {"depart": [2, 0.5]},
+    "fractional count": {"hops": [2.5, 1], "span": [2.5, 3]},
+    "string count": {"hops": ["2", 1], "span": ["2", 3]},
+    "zero count": {"hops": [2, 0], "span": [2, 0]},
+    "negative count": {"hops": [-1, 1], "span": [-1, 3]},
+    "repeated id": {"message_id": [5, 5]},
+}
+
+
+class TestSegmentDocuments:
+    """Line version 3: a scan-line segment per row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_segment_columns)
+    def test_segments_crossings_and_objects_agree(self, columns):
+        doc = {
+            "format": "repro-schedule",
+            "version": 3,
+            "trajectories": dict(zip(SEGMENT_FIELDS, map(list, columns))),
+        }
+        got = _outcome(schedule_from_dict, doc)
+        if got[0] == "ok":
+            sched = got[1]
+            assert sched.delivered_ids == frozenset(columns[0])
+            assert schedule_to_dict(sched) == doc
+            assert set(vars(sched)) == {"_segments"}
+        assert got == _outcome(_reference_segment_read, doc)
+        assert got == _outcome(schedule_from_dict, _crossings_schedule(doc))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_wire_segment_columns)
+    def test_errors_are_the_row_reads(self, columns):
+        doc = {
+            "format": "repro-schedule",
+            "version": 3,
+            "trajectories": dict(zip(SEGMENT_FIELDS, map(list, columns))),
+        }
+        assert _outcome(schedule_from_dict, doc) == _outcome(_reference_segment_read, doc)
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed(self, case):
+        fix = {k: v for k, v in _MALFORMED[case].items() if k in SEGMENT_FIELDS}
+        doc = _segment_doc(**fix)
+        got = _outcome(schedule_from_dict, doc)
+        assert got[0] == "error" and got[1] is not ConflictError
+        assert got == _outcome(_reference_segment_read, doc)
+        if all(type(v) is int for column in fix.values() for v in column):
+            assert got == _outcome(schedule_from_dict, _crossings_schedule(doc))
+
+    def test_overlap_on_one_scan_line(self):
+        # 5 runs 1->4 during [2, 5); 6 boards the same line (alpha = -1) at
+        # node 3, time 4, while 5 still holds link (3, 4)
+        doc = _segment_doc(source=[1, 3], depart=[2, 4], hops=[3, 1])
+        got = _outcome(schedule_from_dict, doc)
+        conflict = "messages 5 and 6 both cross link (3, 4) during [4, 5]"
+        assert got == ("error", ConflictError, conflict)
+        assert got == _outcome(_reference_segment_read, doc)
+        assert got == _outcome(schedule_from_dict, _crossings_schedule(doc))
+        # the next step on that line is free
+        after = _segment_doc(source=[1, 4], depart=[2, 5], hops=[3, 1])
+        assert len(schedule_from_dict(after)) == 2
+
+    @pytest.mark.parametrize("field", SEGMENT_FIELDS)
+    def test_ragged_columns(self, field):
+        doc = _segment_doc()
+        doc["trajectories"][field] = doc["trajectories"][field][:1]
+        lengths = ", ".join(f"{f} {1 if f == field else 2}" for f in SEGMENT_FIELDS)
+        with pytest.raises(ValueError, match=f"^schedule columns differ in length: {lengths}$"):
+            schedule_from_dict(doc)
+
+    @pytest.mark.parametrize("field", SEGMENT_FIELDS)
+    def test_missing_column(self, field):
+        doc = _segment_doc()
+        del doc["trajectories"][field]
+        with pytest.raises(ValueError, match=f"missing field '{field}' in schedule data"):
+            schedule_from_dict(doc)
+
+    def test_integral_floats_are_integers(self):
+        doc = _segment_doc(depart=[2.0, 0.0], hops=[2.0, 1.0])
+        assert schedule_from_dict(doc) == schedule_from_dict(_segment_doc())
+        assert all(type(v) is int for v in schedule_from_dict(doc).segments.hops)
+
+
+class TestRingSegmentDocuments:
+    """Ring version 2: ``n`` plus a helix segment per row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(3, 8), _segment_columns)
+    def test_columns_rows_and_objects_agree(self, n, columns):
+        doc = {
+            "format": "repro-ring-schedule",
+            "version": 2,
+            "n": n,
+            "throughput": len(columns[0]),
+            "trajectories": dict(zip(RING_FIELDS, map(list, columns))),
+        }
+        got = _outcome(_ring_read, doc)
+        assert got == _outcome(_ring_read, _ring_rows_doc(doc))
+        objects = _outcome(
+            RingSchedule, tuple(map(RingTrajectory, *columns, [n] * len(columns[0])))
+        )
+        assert got == objects
+        if got[0] == "ok":
+            written = {**doc, "n": n if columns[0] else None}  # no size when empty
+            assert get_topology("ring").schedule_to_dict(got[1]) == written
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.integers(3, 8), _wire_values), _wire_segment_columns)
+    def test_errors_are_the_row_reads(self, n, columns):
+        doc = {
+            "format": "repro-ring-schedule",
+            "version": 2,
+            "n": n,
+            "trajectories": dict(zip(RING_FIELDS, map(list, columns))),
+        }
+        assert _outcome(_ring_read, doc) == _outcome(_ring_read, _ring_rows_doc(doc))
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed(self, case):
+        doc = _ring_doc(**{k: v for k, v in _MALFORMED[case].items() if k in RING_FIELDS})
+        got = _outcome(_ring_read, doc)
+        assert got == _outcome(_ring_read, _ring_rows_doc(doc))
+        # a span that holds no slot is what the rows accept as well
+        assert got[0] == ("ok" if case in ("zero count", "negative count") else "error")
+
+    def test_overlap_on_one_helix(self):
+        # on a 6-ring, (source 1, depart 0) and (source 3, depart 2) share
+        # helix 1; 5 holds link 3 at time 2 when 6 departs over it
+        doc = _ring_doc(source=[1, 3], depart=[0, 2], span=[3, 1])
+        got = _outcome(_ring_read, doc)
+        assert got == ("error", ValueError, "messages 5 and 6 share link 3 at time 2")
+        assert got == _outcome(_ring_read, _ring_rows_doc(doc))
+
+    @pytest.mark.parametrize("field", RING_FIELDS)
+    def test_ragged_columns(self, field):
+        doc = _ring_doc()
+        doc["trajectories"][field] = doc["trajectories"][field][:1]
+        lengths = ", ".join(f"{f} {1 if f == field else 2}" for f in RING_FIELDS)
+        with pytest.raises(
+            ValueError, match=f"^ring schedule columns differ in length: {lengths}$"
+        ):
+            _ring_read(doc)
+
+    @pytest.mark.parametrize("n", [None, "6", 6.5, True])
+    def test_ring_size(self, n):
+        doc = _ring_doc(n=n)
+        got = _outcome(_ring_read, doc)
+        assert got[0] == "error" and "field 'n' must be an integer" in got[2]
+        assert got == _outcome(_ring_read, _ring_rows_doc(doc))
+        assert _ring_read(_ring_doc(n=6.0)) == _ring_read(_ring_doc())
+
+    def test_empty_schedule(self):
+        ring = get_topology("ring")
+        doc = ring.schedule_to_dict(RingSchedule())
+        assert doc["version"] == 2 and doc["n"] is None
+        assert ring.schedule_from_dict(json.loads(json.dumps(doc))) == RingSchedule()
 
 
 # --------------------------------------------------------------------- #
@@ -616,3 +939,53 @@ class TestVersion1Fixtures:
         # version-2 crossings column carries gaps
         old = api.ScheduleResult.from_dict(_load("result_greedy.json"))
         assert old.schedule.total_wait > 0
+
+
+class TestFixturesAgainstAFreshSolve:
+    """Every schedule fixture, written while line schedules were crossings
+    (``v1`` rows, ``v2`` columns) and ring schedules rows, loads to the
+    schedule a fresh solve returns and re-encodes to the document a fresh
+    solve writes: version-3 segments for the bufferless line schedules,
+    version-2 columns for the ring one, version-2 crossings for the
+    buffered greedy."""
+
+    @staticmethod
+    def _fresh(regime, method, name="instance.json"):
+        return api.solve(api.parse_instance(_load(name)), regime, method)
+
+    @pytest.mark.parametrize("folder,version", [(V1, 1), (V2, 2)])
+    def test_schedules(self, folder, version):
+        doc = json.loads((folder / "schedule_bfl.json").read_text())
+        assert doc["version"] == version
+        old = schedule_from_dict(doc)
+        fresh = self._fresh("bufferless", "bfl").schedule
+        assert old == fresh
+        written = schedule_to_dict(old)
+        assert written["version"] == 3
+        assert written == schedule_to_dict(fresh)
+
+    @pytest.mark.parametrize(
+        "folder,name,regime,method,written",
+        [
+            (V1, "result_bfl.json", "bufferless", "bfl", 3),
+            (V2, "result_bfl.json", "bufferless", "bfl", 3),
+            (V1, "result_greedy.json", "buffered", "greedy", 2),
+        ],
+    )
+    def test_results(self, folder, name, regime, method, written):
+        old = api.ScheduleResult.from_dict(json.loads((folder / name).read_text()))
+        fresh = self._fresh(regime, method)
+        assert old.schedule == fresh.schedule
+        assert old.summary() == fresh.summary()
+        doc = old.to_dict()
+        assert doc["schedule"]["version"] == written
+        assert doc["schedule"] == fresh.to_dict()["schedule"]
+
+    def test_ring_schedule(self):
+        ring = get_topology("ring")
+        old = ring.schedule_from_dict(_load("ring_schedule_bfl.json"))
+        fresh = self._fresh("bufferless", "bfl", "ring_instance.json").schedule
+        assert old == fresh
+        written = ring.schedule_to_dict(old)
+        assert written["version"] == 2
+        assert written == ring.schedule_to_dict(fresh)

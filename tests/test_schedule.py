@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.api import parse_instance
 from repro.core.bfl import bfl
-from repro.core.schedule import ConflictError, Schedule, TrajectoryTable
+from repro.core.bfl_fast import bfl_fast
+from repro.core.schedule import ConflictError, Schedule, SegmentTable, TrajectoryTable
 from repro.core.trajectory import Trajectory
+from repro.io import schedule_from_dict, schedule_to_dict
 from repro.workloads import general_instance
 
 
@@ -363,7 +366,7 @@ class TestTableBackedSchedule:
         assert len(built) == built.throughput == 3
         assert built.delivered_ids == twin.delivered_ids == frozenset({1, 4, 9})
         assert 4 in built and 5 not in built
-        assert set(vars(built)) == {"_table"}
+        assert set(vars(built)) == {"_segments", "_table"}
 
     def test_equality_and_hash(self, twins):
         built, twin = twins
@@ -375,7 +378,7 @@ class TestTableBackedSchedule:
     def test_pickle_round_trip(self, twins):
         built, twin = twins
         again = pickle.loads(pickle.dumps(built))
-        assert set(vars(again)) == {"_table"}
+        assert set(vars(again)) == {"_segments"}
         assert again == twin and hash(again) == hash(twin)
 
     def test_pickle_holds_one_form(self, twins):
@@ -426,3 +429,81 @@ class TestTableBackedSchedule:
         assert built == []
         monkeypatch.undo()
         assert result.schedule == expected
+
+
+# ---------------------------------------------------------------------- #
+# Segment-backed schedules: the BFL kernel and version-3 documents
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def segment_read():
+    """A served-size BFL schedule read back from its version-3 document,
+    and the reference BFL's object-built twin."""
+    inst = general_instance(np.random.default_rng(3), n=16, k=40)
+    doc = json.loads(json.dumps(api.solve(inst, "bufferless", "bfl").to_dict()))
+    assert doc["schedule"]["version"] == 3
+    return schedule_from_dict(doc["schedule"]), bfl(inst)
+
+
+class TestSegmentBackedSchedule:
+    def test_reads_segments_only(self, segment_read):
+        sched, ref = segment_read
+        assert len(sched) == sched.throughput == len(ref)
+        assert sched.delivered_ids == ref.delivered_ids
+        assert sched.bufferless and sched.total_wait == 0
+        doc = schedule_to_dict(sched)
+        # neither Trajectory objects nor crossing tuples were built
+        assert set(vars(sched)) == {"_segments"}
+        assert doc == schedule_to_dict(ref)
+
+    def test_crossings_and_objects_on_demand(self, segment_read):
+        sched, ref = segment_read
+        assert sched.table == ref.table
+        assert set(vars(sched)) == {"_segments", "_table"}
+        assert sched.trajectories == ref.trajectories
+        assert sched == ref and hash(sched) == hash(ref)
+
+    def test_pickle_round_trip(self, segment_read):
+        sched, ref = segment_read
+        sched.table  # a derived form is not pickled
+        again = pickle.loads(pickle.dumps(sched))
+        assert set(vars(again)) == {"_segments"}
+        assert again.trajectories == ref.trajectories
+        sched.trajectories
+        again = pickle.loads(pickle.dumps(sched))
+        assert set(vars(again)) == {"trajectories"}
+        assert again.trajectories == ref.trajectories
+
+    def test_kernel_returns_segments_only(self):
+        inst = general_instance(np.random.default_rng(8), n=32, k=200)
+        sched = bfl_fast(inst)
+        assert set(vars(sched)) == {"_segments"}
+        assert sched.segments == SegmentTable.of(bfl(inst).table)
+
+    def test_object_built_schedules_derive_segments(self):
+        rows = (Trajectory(4, 0, (2, 3, 4)), Trajectory(1, 3, (5, 6)))
+        assert Schedule(rows).segments == SegmentTable((4, 1), (0, 3), (2, 5), (3, 2))
+        assert Schedule(rows + (Trajectory(9, 5, (0, 2)),)).segments is None
+        assert Schedule().segments == SegmentTable((), (), (), ())
+
+    def test_from_segments_refuses_what_the_objects_refuse(self):
+        with pytest.raises(ValueError, match="message 4 crosses no link"):
+            Schedule.from_segments(SegmentTable((1, 4), (0, 3), (0, 5), (2, 0)))
+        with pytest.raises(ValueError, match="message 1 scheduled twice"):
+            Schedule.from_segments(SegmentTable((1, 1), (0, 3), (0, 5), (2, 1)))
+        with pytest.raises(ConflictError):
+            Schedule.from_segments(SegmentTable((1, 2), (0, 1), (0, 1), (3, 1)))
+        with pytest.raises(ValueError, match="segment table columns differ in length"):
+            Schedule.from_segments(SegmentTable((1, 2), (0, 1), (0,), (3, 1)))
+
+    def test_table_era_pickle_loads(self):
+        # Pickled when a bufferless schedule was kept as its crossings table.
+        path = Path(__file__).parent / "data" / "schedule_table_parent.pickle"
+        old = pickle.loads(path.read_bytes())
+        assert set(vars(old)) == {"_segments", "_table"}
+        v1 = Path(__file__).parent / "data" / "v1"
+        inst = parse_instance((v1 / "instance.json").read_text())
+        fresh = bfl_fast(inst)
+        assert schedule_to_dict(old) == schedule_to_dict(fresh)
+        assert old == fresh and old.table == fresh.table

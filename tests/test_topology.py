@@ -261,4 +261,4 @@ class TestFacadeRingOnline:
         assert payload["topology"] == "ring"
         assert payload["version"] == api.ScheduleResult.SCHEMA_VERSION
         decoded = json.loads(json.dumps(payload))
-        assert len(decoded["schedule"]["trajectories"]) == payload["delivered"]
+        assert len(decoded["schedule"]["trajectories"]["message_id"]) == payload["delivered"]
