@@ -5,8 +5,11 @@ Times the three layers of a ring BFL request on an n=32, k=270 ring
 ``ring-bufferless-bfl`` cell): ``api.parse_instance`` on the instance
 document (``columns``, the version-2 form the writer emits, and ``rows``,
 the version-1 form still read), the ``ring_bfl`` kernel on the parsed
-(table-built) instance, the ``RingSchedule`` constructor's check on the
-kernel's trajectories, the schedule document both ways (``columns``,
+(table-built) instance, the scan-line check of ``RingSchedule`` on the
+kernel's schedule both ways (``segments``, ``RingSchedule.from_segments``
+as ``ring_bfl`` and the version-2 reader build it, and ``objects``, the
+constructor over ``RingTrajectory`` objects as the exact solvers and the
+simulator build it), the schedule document both ways (``columns``,
 the version-2 helix segments the writer emits for a bufferless ring
 schedule, and ``rows``, the version-1 form it emits for a buffered one),
 and the whole facade operation (parse, solve, ``to_dict``, JSON).  Each
@@ -70,9 +73,13 @@ def test_ring_bfl(benchmark):
     assert schedule.trajectories == EXPECTED.trajectories
 
 
-def test_ring_schedule(benchmark):
-    trajectories = EXPECTED.trajectories
-    schedule = benchmark(RingSchedule, trajectories)
+@pytest.mark.parametrize("form", ["segments", "objects"])
+def test_ring_schedule(benchmark, form):
+    if form == "segments":
+        schedule = benchmark(RingSchedule.from_segments, INSTANCE.n, EXPECTED.segments)
+        assert set(vars(schedule)) == {"segments", "n"}
+    else:
+        schedule = benchmark(RingSchedule, EXPECTED.trajectories)
     assert schedule == EXPECTED
 
 

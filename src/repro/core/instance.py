@@ -78,8 +78,8 @@ class MessageTable(NamedTuple):
 class BuiltFromTable:
     """A field of a table-built value object, built by ``build(obj)`` from
     ``obj.<key>`` (``_table`` unless given) on first read
-    (``Instance.messages``, ``RingInstance.messages``, and
-    ``Schedule.trajectories`` from its ``_segments``).
+    (``Instance.messages``, ``RingInstance.messages``, and the
+    ``trajectories`` of ``Schedule`` and ``RingSchedule`` from segments).
 
     A non-data descriptor: attribute lookup tries the instance dict first,
     so once the field is stored there (by ``__init__``, or by the first

@@ -32,9 +32,10 @@ demand, so it writes the same document.
 Every constructor runs one bulk check.  On segments it is the scan-line
 check: ids are unique, every segment crosses a link, and two segments
 share a diagonal edge exactly when they lie on the same scan line and
-their node intervals overlap, so the segments are sorted by
-``(α, source, dest)`` and each is compared with its neighbour on the same
-line.  A schedule with a buffered trajectory is checked with one set of
+their time intervals overlap, so the segments are sorted by
+``(α, depart, arrive)`` and each is compared with its neighbour on the
+same line; ``RingSchedule`` runs it with ``α`` mod ``n`` (the helices).
+A schedule with a buffered trajectory is checked with one set of
 ``(node, time)`` edges instead, compared in size with the edge count.
 Only a failed check builds the ``Trajectory`` objects and runs the
 per-edge owner loop, which names the first invalid row, duplicate id or
@@ -46,7 +47,8 @@ builds one with that same loop on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, and_, attrgetter, eq, itemgetter, lt, sub
+from itertools import repeat
+from operator import add, and_, attrgetter, eq, itemgetter, lt, mod, sub
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .instance import BuiltFromTable
@@ -123,9 +125,12 @@ class SegmentTable(NamedTuple):
         return tuple(map(Trajectory, self.message_id, self.source, self.crossings()))
 
 
-def _disjoint_segments(segments: SegmentTable) -> bool:
-    """The scan-line bulk check: ``True`` iff no id repeats, every segment
-    crosses a link and no two segments overlap on one scan line."""
+def _disjoint_segments(segments: SegmentTable, n: int | None = None) -> bool:
+    """The scan-line bulk check of line and ring schedules: ``True`` iff
+    no id repeats, every segment crosses a link and no two segments
+    overlap on one scan line.  A segment holds the time interval
+    ``[depart, depart + hops)`` on the line ``source - depart``, taken
+    mod ``n`` on an ``n``-node ring (whose scan lines are helices)."""
     ids, sources, departs, hops = segments
     if len(set(ids)) != len(ids):
         return False
@@ -134,15 +139,16 @@ def _disjoint_segments(segments: SegmentTable) -> bool:
     try:
         if min(hops) < 1:
             return False
-        # One (alpha, source, dest) segment per row, sorted: with each
-        # line's segments in source order, two overlap somewhere iff some
-        # segment starts before its predecessor on that line ends.
-        alpha, start, end = zip(
-            *sorted(zip(map(sub, sources, departs), sources, map(add, sources, hops)))
-        )
+        lines = map(sub, sources, departs)
+        if n is not None:
+            lines = map(mod, lines, repeat(n))
+        # One (line, depart, arrive) interval per row, sorted: with each
+        # line's intervals in time order, two overlap somewhere iff some
+        # interval departs before its predecessor on that line arrives.
+        line, depart, arrive = zip(*sorted(zip(lines, departs, map(add, departs, hops))))
     except TypeError:  # non-integer fields: left to the row checks
         return False
-    return not any(map(and_, map(eq, alpha[1:], alpha), map(lt, start[1:], end)))
+    return not any(map(and_, map(eq, line[1:], line), map(lt, depart[1:], arrive)))
 
 
 def _disjoint_edges(sources: Iterable[int], crossings: Iterable[Sequence[int]]) -> bool:

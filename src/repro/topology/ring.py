@@ -15,9 +15,11 @@ step, so two trajectories on the same helix conflict iff their
 interval scheduling on the *time* axis, which is what :func:`ring_bfl`
 exploits: taking candidates in arrival order, it keeps one int per helix
 (the end of the latest interval chosen there) as its whole slot state.
-:class:`RingSchedule` checks the same way, sorting each helix's intervals
-and comparing neighbours; only a schedule that fails that check, or holds
-a buffered trajectory, runs the per-slot loop that names the conflict.
+A helix is the line's scan line ``source - depart`` taken mod ``n``, so
+:class:`RingSchedule` keeps a bufferless schedule as the line's
+:class:`~repro.core.schedule.SegmentTable` and checks it with the line's
+scan-line check; only a schedule that fails it, or holds a buffered
+trajectory, runs the per-slot loop that names the conflict.
 
 Like the line's :class:`~repro.core.instance.Instance`, a
 :class:`RingInstance` holds its messages as int columns first
@@ -25,10 +27,11 @@ Like the line's :class:`~repro.core.instance.Instance`, a
 :meth:`RingInstance.from_table`); the wire reader and ``ring_bfl`` use
 only the columns, and ``RingMessage`` objects are built the first time
 ``messages`` is read.  Ring instance documents are version-2 columns.
-A ring schedule whose trajectories are all bufferless is a version-2
-document too: ``n`` plus the columns ``message_id``, ``source``,
-``depart`` and ``span``, one helix segment per row; a schedule holding a
-:class:`BufferedRingTrajectory` stays version-1 rows.
+A bufferless ring schedule is a version-2 document too: ``n`` plus its
+segments as the columns ``message_id``, ``source``, ``depart`` and
+``span``; a schedule holding a :class:`BufferedRingTrajectory` stays
+version-1 rows.  ``ring_bfl`` and the reader build no
+:class:`RingTrajectory`: the objects are built on first read.
 
 This module is the home of everything ring-shaped: the data model, the
 helix greedy, the buffered trajectory shape and the :class:`Ring`
@@ -37,13 +40,15 @@ topology object that plugs it all into the registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from itertools import chain, repeat
-from operator import add, and_, attrgetter, eq, lt, mod, sub
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
+from ..core import schedule as line_schedule
 from ..core.instance import BuiltFromTable, MessageTable
+from ..core.schedule import SegmentTable, _check_lengths
 from .base import Topology, register_topology
 
 __all__ = [
@@ -209,6 +214,14 @@ class RingTrajectory:
     span: int
     n: int
 
+    def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError(
+                f"trajectory for message {self.message_id}: a ring needs at least 3 nodes"
+            )
+        if self.span < 1:
+            raise ValueError(f"trajectory for message {self.message_id} crosses no link")
+
     @property
     def arrive(self) -> int:
         return self.depart + self.span
@@ -238,50 +251,16 @@ class BufferedRingTrajectory(RingTrajectory):
             yield ((self.source + i) % self.n, t)
 
 
-_ring_fields = attrgetter("message_id", "source", "depart", "span", "n")
+def _ring_trajectory(m: RingMessage, times: tuple[int, ...]) -> RingTrajectory:
+    """``m`` crossing its links at ``times``: bufferless when they are
+    consecutive."""
+    if times[-1] - times[0] == m.span - 1:
+        return RingTrajectory(m.id, m.source, times[0], m.span, m.n)
+    return BufferedRingTrajectory(m.id, m.source, times[0], m.span, m.n, hop_times=times)
+
+
 #: The columns of a version-2 ring schedule document (plus its ``n``).
 _SEGMENT_FIELDS = ("message_id", "source", "depart", "span")
-_segment_fields = attrgetter(*_SEGMENT_FIELDS)
-
-
-def _disjoint_helices(trajectories: Sequence[RingTrajectory]) -> bool:
-    """The per-helix bulk check of :class:`RingSchedule`.
-
-    ``True`` only when the rows are conflict-free: every row a bufferless
-    :class:`RingTrajectory` of int fields on one ring of ``n >= 1``
-    nodes, no id repeated, and no two ``[depart, arrive)`` intervals
-    overlapping on one helix.  Slot ``(link, t)`` lies on helix
-    ``(link - t) mod n``, so two rows share a slot iff they share a helix
-    and a time step.  ``False`` leaves the verdict to the per-slot loop.
-    A row with ``span <= 0`` holds no slot: it can send a valid schedule
-    to the loop, but it cannot hide an overlap from the neighbour test.
-    """
-    if not trajectories:
-        return True
-    if set(map(type, trajectories)) != {RingTrajectory}:
-        return False
-    ids, sources, departs, spans, ns = zip(*map(_ring_fields, trajectories))
-    n = ns[0]
-    if not (
-        set(map(type, chain(ids, sources, departs, spans, ns))) == {int}
-        and ns.count(n) == len(ns)
-        and n >= 1
-        and len(set(ids)) == len(ids)
-    ):
-        return False
-    # One (helix, depart, arrive) interval per row, sorted: with each
-    # helix's intervals in time order, two overlap somewhere iff some
-    # interval departs before its predecessor on that helix arrives.
-    helix, depart, arrive = zip(
-        *sorted(
-            zip(
-                map(mod, map(sub, sources, departs), repeat(n)),
-                departs,
-                map(add, departs, spans),
-            )
-        )
-    )
-    return not any(map(and_, map(eq, helix[1:], helix), map(lt, depart[1:], arrive)))
 
 
 def _trajectories_from_rows(rows: Any, n: Any) -> tuple[RingTrajectory, ...]:
@@ -341,24 +320,68 @@ def _claim_slots(trajectories: Iterable[RingTrajectory]) -> None:
 class RingSchedule:
     """A conflict-free set of ring trajectories.
 
-    The constructor runs the per-helix bulk check; only a schedule that
-    fails it, or holds a :class:`BufferedRingTrajectory`, runs the
+    ``n`` is the ring size (the first row's, ``None`` when empty) and
+    ``segments`` the rows as a :class:`~repro.core.schedule.SegmentTable`
+    (``hops`` is the span), ``None`` when a row is buffered or the rows
+    lie on more than one ring size.  :meth:`from_segments` keeps only
+    those two; ``trajectories`` is built the first time it is read.
+    Every constructor runs the line's scan-line check on the helices,
+    and only a schedule that fails it, or holds a buffered row, runs the
     per-slot loop, so a rejected schedule raises the same error either way.
     """
 
-    trajectories: tuple[RingTrajectory, ...] = field(default_factory=tuple)
+    trajectories: tuple[RingTrajectory, ...] = BuiltFromTable(  # type: ignore[assignment]
+        lambda sched: tuple(map(RingTrajectory, *sched.segments, repeat(sched.n))),
+        key="segments",
+    )
 
     def __post_init__(self) -> None:
-        if not _disjoint_helices(self.trajectories):
-            _claim_slots(self.trajectories)
+        rows = self.trajectories
+        *columns, ns = zip(*map(attrgetter(*_SEGMENT_FIELDS, "n"), rows)) if rows else [()] * 5
+        one_shape = set(map(type, rows)) <= {RingTrajectory} and len(set(ns)) <= 1
+        object.__setattr__(self, "n", ns[0] if ns else None)
+        object.__setattr__(self, "segments", SegmentTable(*columns) if one_shape else None)
+        # the int screen keeps a float field away from the sort
+        if not (one_shape and set(map(type, chain(*columns))) <= {int} and self._disjoint()):
+            _claim_slots(rows)  # raises the first conflict in order
+
+    def _disjoint(self) -> bool:
+        n = self.n
+        return type(n) is int and n >= 3 and line_schedule._disjoint_segments(self.segments, n)
+
+    @classmethod
+    def from_segments(cls, n: int, segments: SegmentTable) -> "RingSchedule":
+        """A bufferless schedule on an ``n``-node ring over ``segments``'
+        columns: kept as they are when they pass the scan-line check, else
+        (and when empty) built as objects, which raises the error the
+        object-built schedule raises."""
+        _check_lengths("segment", segments)
+        sched = object.__new__(cls)
+        sched.__dict__.update(segments=segments, n=n)
+        if segments.message_id and sched._disjoint():
+            return sched
+        return cls(tuple(map(RingTrajectory, *segments, repeat(n))))
+
+    def __getstate__(self) -> dict[str, Any]:
+        # One form, as Schedule: the objects once they exist, else the segments.
+        if "trajectories" in self.__dict__:
+            return {"trajectories": self.trajectories}
+        return self.__dict__
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if "segments" not in state:  # the objects: derive the segments
+            self.__post_init__()
 
     @property
     def throughput(self) -> int:
-        return len(self.trajectories)
+        return len(self.trajectories if self.segments is None else self.segments.message_id)
 
     @property
     def delivered_ids(self) -> frozenset[int]:
-        return frozenset(t.message_id for t in self.trajectories)
+        if self.segments is None:
+            return frozenset(t.message_id for t in self.trajectories)
+        return frozenset(self.segments.message_id)
 
 
 def ring_schedule_problems(
@@ -432,7 +455,9 @@ def ring_bfl(instance: RingInstance) -> RingSchedule:
     heap holds each unscheduled message's next candidate, and a message
     leaves the heap once it is scheduled or out of departures.  The
     greedy reads the instance's int columns (:attr:`RingInstance.table`)
-    and builds a :class:`RingTrajectory` only for each chosen message.
+    and writes the chosen segments as columns
+    (:meth:`RingSchedule.from_segments`): it builds no
+    :class:`RingTrajectory`.
     """
     n = instance.n
     # (arrive, span, id, depart, source, deadline): ids are unique, so the
@@ -445,19 +470,22 @@ def ring_bfl(instance: RingInstance) -> RingSchedule:
     heapify(heap)
 
     end = [0] * n  # per helix: the latest arrival chosen on it
-    scheduled: dict[int, RingTrajectory] = {}
+    ids, sources, departs, spans = [], [], [], []  # the chosen segments
     while heap:
         arrive, span, mid, depart, source, deadline = heap[0]
         helix = (source - depart) % n
         if depart >= end[helix]:
             end[helix] = arrive
-            scheduled[mid] = RingTrajectory(mid, source, depart, span, n)
+            ids.append(mid)
+            sources.append(source)
+            departs.append(depart)
+            spans.append(span)
             heappop(heap)
         elif arrive < deadline:  # the message's next departure
             heapreplace(heap, (arrive + 1, span, mid, depart + 1, source, deadline))
         else:
             heappop(heap)
-    return RingSchedule(tuple(scheduled.values()))
+    return RingSchedule.from_segments(n, SegmentTable(*map(tuple, (ids, sources, departs, spans))))
 
 
 class Ring(Topology):
@@ -555,20 +583,7 @@ class Ring(Topology):
     # ----------------------------------------------------------- #
 
     def sim_trajectory(self, instance: Any, packet: Any) -> RingTrajectory:
-        m = packet.message
-        times = tuple(packet.crossings)
-        if times[-1] - times[0] == m.span - 1:
-            return RingTrajectory(
-                message_id=m.id, source=m.source, depart=times[0], span=m.span, n=m.n
-            )
-        return BufferedRingTrajectory(
-            message_id=m.id,
-            source=m.source,
-            depart=times[0],
-            span=m.span,
-            n=m.n,
-            hop_times=times,
-        )
+        return _ring_trajectory(packet.message, tuple(packet.crossings))
 
     def sim_schedule(self, instance: Any, trajectories: Iterable[Any]) -> RingSchedule:
         return RingSchedule(tuple(trajectories))
@@ -579,20 +594,19 @@ class Ring(Topology):
         """A ring schedule document: version-2 columns ``message_id``,
         ``source``, ``depart`` and ``span`` when every trajectory is a
         bufferless :class:`RingTrajectory`, version-1 rows otherwise."""
-        trajectories = schedule.trajectories
+        segments = schedule.segments
         out = {
             "format": "repro-ring-schedule",
             "version": 1,
-            "n": trajectories[0].n if trajectories else None,
+            "n": schedule.n,
             "throughput": schedule.throughput,
         }
-        if set(map(type, trajectories)) <= {RingTrajectory}:
-            columns = list(zip(*map(_segment_fields, trajectories))) or [()] * 4
+        if segments is not None:
             out["version"] = 2
-            out["trajectories"] = dict(zip(_SEGMENT_FIELDS, map(list, columns)))
+            out["trajectories"] = dict(zip(_SEGMENT_FIELDS, map(list, segments)))
             return out
         rows = []
-        for t in trajectories:
+        for t in schedule.trajectories:
             row: dict[str, Any] = {
                 "message_id": t.message_id,
                 "source": t.source,
@@ -623,7 +637,7 @@ class Ring(Topology):
         else:
             columns = plain_int_columns(data.get("trajectories"), _SEGMENT_FIELDS)
             if columns is not None and (type(n) is int or not columns[0]):
-                return RingSchedule(tuple(map(RingTrajectory, *columns, repeat(n))))
+                return RingSchedule.from_segments(n, SegmentTable(*columns))
             rows = [
                 dict(zip(_SEGMENT_FIELDS, row))
                 for row in column_rows(data, "trajectories", _SEGMENT_FIELDS, "ring schedule")

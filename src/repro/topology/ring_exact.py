@@ -14,12 +14,7 @@ import numpy as np
 
 from ..budget import SolverBudget
 from ..exact.milp import Program, solve, time_indexed
-from .ring import (
-    BufferedRingTrajectory,
-    RingInstance,
-    RingSchedule,
-    RingTrajectory,
-)
+from .ring import RingInstance, RingSchedule, RingTrajectory, _ring_trajectory
 
 __all__ = [
     "opt_ring_bufferless",
@@ -127,23 +122,8 @@ def opt_ring_buffered(
     )
 
     def decode(chosen: np.ndarray) -> RingSchedule:
-        trajectories: list[RingTrajectory] = []
-        for mi, times in hop_times(chosen).items():
-            m = msgs[mi]
-            if times[-1] - times[0] == m.span - 1:
-                trajectories.append(RingTrajectory(m.id, m.source, times[0], m.span, n))
-            else:
-                trajectories.append(
-                    BufferedRingTrajectory(
-                        message_id=m.id,
-                        source=m.source,
-                        depart=times[0],
-                        span=m.span,
-                        n=n,
-                        hop_times=times,
-                    )
-                )
-        return RingSchedule(tuple(trajectories))
+        chosen_times = hop_times(chosen).items()
+        return RingSchedule(tuple(_ring_trajectory(msgs[mi], t) for mi, t in chosen_times))
 
     schedule, optimal = solve(
         program,

@@ -8,9 +8,10 @@
   the same order.
 * :func:`reference_slot_check` is ``RingSchedule``'s check as first
   written: one owner per ``(link, time)`` slot, raising on the first
-  repeated id or shared slot.  ``RingSchedule`` runs a per-helix bulk
-  check first and must accept and reject exactly the same schedules, with
-  the same error text.
+  repeated id or shared slot.  ``RingSchedule`` runs the line's scan-line
+  check (``repro.core.schedule._disjoint_segments``, with the helix
+  ``source - depart`` mod ``n`` as the line) first and must accept and
+  reject exactly the same schedules, with the same error text.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ Machine-checked invariants:
   map, the ``_owner_map`` reference loop), so no hot path can come to
   depend on an eager edge map again; ``Schedule.edge_owner()`` is the
   public, on-demand view.
+* **One segment check** — line and ring schedules run the same scan-line
+  check (``repro.core.schedule._disjoint_segments``); the ring's own copy,
+  ``_disjoint_helices``, stays deleted.
 * **Removed paths stay removed** — nothing imports a deleted module: the
   in-package bench harness and its ``repro.perf`` stopwatches
   (``perfbench/`` is the one benchmark), the vectorized BFL twin
@@ -177,6 +180,34 @@ class TestSchedulePrivacy:
             "    return s._edge_owner, getattr(s, '_edge_owner')\n"
         )
         assert len(_schedule_private_reads(bad)) == 3
+
+
+class TestOneSegmentCheck:
+    """Line and ring schedules share one bulk check,
+    ``repro.core.schedule._disjoint_segments``; the ring keeps no copy."""
+
+    def test_ring_keeps_no_copy_of_the_check(self):
+        from repro.topology import ring
+
+        assert not hasattr(ring, "_disjoint_helices")
+
+    def test_line_and_ring_run_the_shared_check(self, monkeypatch):
+        from repro.core import schedule
+        from repro.core.schedule import Schedule, SegmentTable
+        from repro.topology.ring import RingSchedule
+
+        calls = []
+        check = schedule._disjoint_segments
+
+        def counting(segments, n=None):
+            calls.append(n)
+            return check(segments, n)
+
+        monkeypatch.setattr(schedule, "_disjoint_segments", counting)
+        segments = SegmentTable((1, 2), (0, 3), (0, 1), (2, 2))
+        assert set(vars(Schedule.from_segments(segments))) == {"_segments"}
+        assert set(vars(RingSchedule.from_segments(5, segments))) == {"segments", "n"}
+        assert calls == [None, 5]
 
 
 #: Deleted modules; never import again.

@@ -812,7 +812,8 @@ class TestRingSegmentDocuments:
         got = _outcome(_ring_read, doc)
         assert got == _outcome(_ring_read, _ring_rows_doc(doc))
         objects = _outcome(
-            RingSchedule, tuple(map(RingTrajectory, *columns, [n] * len(columns[0])))
+            lambda rows: RingSchedule(tuple(map(RingTrajectory, *rows, [n] * len(rows[0])))),
+            columns,
         )
         assert got == objects
         if got[0] == "ok":
@@ -835,8 +836,21 @@ class TestRingSegmentDocuments:
         doc = _ring_doc(**{k: v for k, v in _MALFORMED[case].items() if k in RING_FIELDS})
         got = _outcome(_ring_read, doc)
         assert got == _outcome(_ring_read, _ring_rows_doc(doc))
-        # a span that holds no slot is what the rows accept as well
-        assert got[0] == ("ok" if case in ("zero count", "negative count") else "error")
+        assert got[0] == "error"
+        if case in ("zero count", "negative count"):  # a span that holds no slot
+            mid = 6 if case == "zero count" else 5
+            assert got[1:] == (ValueError, f"trajectory for message {mid} crosses no link")
+
+    @pytest.mark.parametrize("n", [-4, 0, 1, 2])
+    def test_ring_too_small(self, n):
+        doc = _ring_doc(n=n)
+        got = _outcome(_ring_read, doc)
+        assert got == (
+            "error",
+            ValueError,
+            "trajectory for message 5: a ring needs at least 3 nodes",
+        )
+        assert got == _outcome(_ring_read, _ring_rows_doc(doc))
 
     def test_overlap_on_one_helix(self):
         # on a 6-ring, (source 1, depart 0) and (source 3, depart 2) share

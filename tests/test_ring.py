@@ -8,6 +8,7 @@ instance, so it cannot catch a kernel fault, and these tests are the guard.
 
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from repro import api
 from repro.core.bfl import bfl
 from repro.core.instance import Instance, MessageTable
 from repro.core.message import Message
+from repro.core.schedule import SegmentTable
 from repro.topology import ring as ring_module
-from repro.topology import topology_of
+from repro.topology import get_topology, topology_of
 from repro.topology.ring import ring_bfl
 from repro.topology.ring_exact import opt_ring_bufferless
 from repro.topology.ring import (
@@ -265,15 +267,14 @@ class TestSolveBuildsNoMessages:
 
 
 # --------------------------------------------------------------------- #
-# RingSchedule's per-helix bulk check against the per-slot loop
+# RingSchedule's scan-line check against the per-slot loop
 # --------------------------------------------------------------------- #
 
 
 @st.composite
 def ring_trajectory_sets(draw):
     """Small rings crowded with bufferless and buffered rows, so repeated
-    ids, shared slots, empty and wrapping spans and a stray ring size all
-    occur."""
+    ids, shared slots, wrapping spans and a stray ring size all occur."""
     n = draw(st.integers(3, 6))
     rows = []
     for _ in range(draw(st.integers(0, 7))):
@@ -281,7 +282,7 @@ def ring_trajectory_sets(draw):
         size = draw(st.sampled_from([n, n, n, n, n + 1]))
         source = draw(st.integers(0, size - 1))
         depart = draw(st.integers(0, 8))
-        span = draw(st.integers(0, size + 1))
+        span = draw(st.integers(1, size + 1))
         if draw(st.integers(0, 3)) == 0:
             waits = draw(st.lists(st.integers(0, 2), min_size=span, max_size=span))
             times, t = [], depart - 1
@@ -397,3 +398,109 @@ class TestRingInstanceTable:
         assert ring_schedule_problems(parsed, sched, require_bufferless=True) == []
         stray = RingSchedule((RingTrajectory(999, 0, 0, 1, 32),))
         assert ring_schedule_problems(parsed, stray) == ["message 999: not in instance"]
+
+
+# --------------------------------------------------------------------- #
+# RingSchedule on the line's segment table
+# --------------------------------------------------------------------- #
+
+
+RING = get_topology("ring")
+
+
+def _ring_doc_of(schedule):
+    return json.loads(json.dumps(RING.schedule_to_dict(schedule)))
+
+
+@pytest.fixture
+def kernel_schedule():
+    """A ``ring_bfl`` schedule at the offline cell's size and the reference
+    greedy's object-built twin."""
+    from repro.workloads.rings import random_ring_instance
+
+    inst = random_ring_instance(np.random.default_rng(4), n=32, k=270, max_release=85)
+    return ring_bfl(_parsed(inst)), reference_ring_bfl(inst)
+
+
+class TestSegmentBackedRingSchedule:
+    @pytest.mark.parametrize("span", [0, -3])
+    def test_trajectory_refuses_an_empty_span(self, span):
+        for cls in (RingTrajectory, BufferedRingTrajectory):
+            with pytest.raises(ValueError, match="^trajectory for message 4 crosses no link$"):
+                cls(4, 0, 0, span, 5)
+
+    @pytest.mark.parametrize("n", [-4, 0, 1, 2])
+    def test_trajectory_refuses_a_ring_under_three_nodes(self, n):
+        with pytest.raises(
+            ValueError, match="^trajectory for message 4: a ring needs at least 3 nodes$"
+        ):
+            RingTrajectory(4, 0, 0, 1, n)
+
+    def test_kernel_returns_segments_only(self, kernel_schedule):
+        sched, ref = kernel_schedule
+        assert set(vars(sched)) == {"segments", "n"}
+        assert sched.n == 32 and sched.segments == ref.segments
+
+    def test_kernel_to_document_and_back_builds_no_trajectory(self, monkeypatch):
+        inst = _parsed(random_ring(np.random.default_rng(9), k_hi=20))
+        built = []
+        monkeypatch.setattr(RingTrajectory, "__post_init__", lambda t: built.append(t))
+        doc = _ring_doc_of(ring_bfl(inst))
+        again = RING.schedule_to_dict(RING.schedule_from_dict(doc))
+        assert built == [] and again == doc
+        assert doc["version"] == 2 and doc["throughput"] > 0
+
+    def test_read_holds_segments_and_size(self, kernel_schedule):
+        sched, ref = kernel_schedule
+        read = RING.schedule_from_dict(_ring_doc_of(sched))
+        assert set(vars(read)) == {"segments", "n"}
+        assert read.throughput == ref.throughput
+        assert read.delivered_ids == ref.delivered_ids
+        assert _ring_doc_of(read) == _ring_doc_of(ref)
+        assert set(vars(read)) == {"segments", "n"}
+        assert read.trajectories == ref.trajectories
+        assert read == ref and hash(read) == hash(ref)
+
+    def test_pickle_holds_one_form(self, kernel_schedule):
+        sched, ref = kernel_schedule
+        again = pickle.loads(pickle.dumps(sched))
+        assert set(vars(again)) == {"segments", "n"} and again == ref
+        sched.trajectories  # the objects are pickled once they exist
+        assert set(sched.__getstate__()) == {"trajectories"}
+        again = pickle.loads(pickle.dumps(sched))
+        assert again.trajectories == ref.trajectories
+        assert again.segments == ref.segments and again.n == 32
+
+    def test_object_built_schedules_derive_segments(self):
+        rows = (RingTrajectory(4, 0, 2, 3, 5), RingTrajectory(1, 3, 5, 4, 5))
+        sched = RingSchedule(rows)
+        assert sched.segments == SegmentTable((4, 1), (0, 3), (2, 5), (3, 4))
+        assert sched.n == 5
+        buffered = BufferedRingTrajectory(9, 1, 0, 2, 5, hop_times=(0, 3))
+        assert RingSchedule(rows + (buffered,)).segments is None
+        mixed = RingSchedule(rows + (RingTrajectory(9, 1, 0, 2, 6),))
+        assert mixed.segments is None and mixed.n == 5
+        assert RingSchedule().segments == SegmentTable((), (), (), ())
+        assert RingSchedule().n is None
+
+    def test_from_segments_refuses_what_the_objects_refuse(self):
+        with pytest.raises(ValueError, match="^trajectory for message 4 crosses no link$"):
+            RingSchedule.from_segments(5, SegmentTable((1, 4), (0, 3), (0, 5), (2, 0)))
+        with pytest.raises(ValueError, match="^message 1 scheduled twice$"):
+            RingSchedule.from_segments(5, SegmentTable((1, 1), (0, 3), (0, 5), (2, 1)))
+        with pytest.raises(ValueError, match="^messages 1 and 2 share link 1 at time 1$"):
+            RingSchedule.from_segments(5, SegmentTable((1, 2), (0, 1), (0, 1), (3, 1)))
+        with pytest.raises(ValueError, match="a ring needs at least 3 nodes"):
+            RingSchedule.from_segments(2, SegmentTable((1,), (0,), (0,), (1,)))
+        with pytest.raises(ValueError, match="segment table columns differ in length"):
+            RingSchedule.from_segments(5, SegmentTable((1, 2), (0, 1), (0,), (3, 1)))
+        assert RingSchedule.from_segments(None, SegmentTable((), (), (), ())) == RingSchedule()
+
+    def test_parent_era_pickle_loads(self):
+        # An object-built schedule, pickled before RingSchedule kept segments.
+        data = Path(__file__).parent / "data"
+        old = pickle.loads((data / "ring_schedule_parent.pickle").read_bytes())
+        assert set(vars(old)) == {"trajectories", "segments", "n"}
+        fresh = ring_bfl(api.parse_instance((data / "v1" / "ring_instance.json").read_text()))
+        assert _ring_doc_of(old) == _ring_doc_of(fresh)
+        assert old == fresh and old.segments == fresh.segments

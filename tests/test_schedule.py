@@ -14,10 +14,19 @@ from repro import api
 from repro.api import parse_instance
 from repro.core.bfl import bfl
 from repro.core.bfl_fast import bfl_fast
-from repro.core.schedule import ConflictError, Schedule, SegmentTable, TrajectoryTable
+from repro.core.schedule import (
+    ConflictError,
+    Schedule,
+    SegmentTable,
+    TrajectoryTable,
+    _disjoint_segments,
+)
 from repro.core.trajectory import Trajectory
 from repro.io import schedule_from_dict, schedule_to_dict
+from repro.topology.ring import RingSchedule, RingTrajectory
 from repro.workloads import general_instance
+
+from .ring_oracle import reference_slot_check
 
 
 def straight(mid, source, depart, span):
@@ -507,3 +516,73 @@ class TestSegmentBackedSchedule:
         fresh = bfl_fast(inst)
         assert schedule_to_dict(old) == schedule_to_dict(fresh)
         assert old == fresh and old.table == fresh.table
+
+
+# ---------------------------------------------------------------------- #
+# one scan-line check for line and ring schedules
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def segment_tables(draw, ring=None):
+    """``(n, segments)``: a table on a line (``n`` None) or on a ring of
+    3..6 nodes, crowded onto a few scan lines, so repeated ids,
+    overlapping and touching segments, wrapping spans and empty or
+    negative hop counts all occur."""
+    if ring is None:
+        ring = draw(st.booleans())
+    n = draw(st.integers(3, 6)) if ring else None
+    k = draw(st.integers(0, 7))
+
+    def column(values):
+        return draw(st.lists(values, min_size=k, max_size=k))
+
+    ids = column(st.integers(0, 6))
+    sources = column(st.integers(0, (n or 6) - 1))
+    departs = column(st.integers(0, 8))
+    hops = column(st.integers(1, (n or 4) + 1))
+    if k and draw(st.integers(0, 5)) == 0:
+        hops[draw(st.integers(0, k - 1))] = draw(st.sampled_from([0, -2]))
+    return n, SegmentTable(*map(tuple, (ids, sources, departs, hops)))
+
+
+def _ring_rows(n, segments):
+    return tuple(map(RingTrajectory, *segments, [n] * len(segments.message_id)))
+
+
+class TestOneScanLineCheck:
+    """``_disjoint_segments`` is the bulk check of line and ring schedules:
+    it accepts exactly what the slot loops accept (``reference_owner`` on
+    the line, ``tests/ring_oracle.py``'s on the ring), and a table it
+    refuses raises the loop's error."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(segment_tables())
+    def test_accepts_and_rejects_as_the_slot_loops(self, drawn):
+        n, segments = drawn
+        if n is None:
+            _, want = _outcome(lambda: reference_owner(segments.to_trajectories()))
+            _, got = _outcome(lambda: Schedule.from_segments(segments))
+        else:
+            _, want = _outcome(lambda: reference_slot_check(_ring_rows(n, segments)))
+            _, got = _outcome(lambda: RingSchedule.from_segments(n, segments))
+        assert _disjoint_segments(segments, n) == (want is None)
+        assert (type(got), str(got)) == (type(want), str(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        segment_tables(ring=True),
+        st.sampled_from(["source", "depart", "span", "n"]),
+        st.sampled_from([0.0, 0.5]),
+    )
+    def test_object_rows_with_a_float_field(self, drawn, field, fraction):
+        # the rows reach the slot loop, which rejects a fractional span
+        n, segments = drawn
+        rows = [row for row in zip(*segments) if row[3] >= 1]
+        if not rows:
+            return
+        rows = list(_ring_rows(n, SegmentTable(*zip(*rows))))
+        rows[0] = dataclasses.replace(rows[0], **{field: getattr(rows[0], field) + fraction})
+        _, want = _outcome(lambda: reference_slot_check(rows))
+        _, got = _outcome(lambda: RingSchedule(tuple(rows)))
+        assert (type(got), str(got)) == (type(want), str(want))
